@@ -11,7 +11,7 @@ from .discretize import (AdmissibilityError, DiscreteSystem, Grid, assemble,
                          assemble_energy_gram, dirichlet_embedding, mean_zero_basis)
 from .evolve import (Custom, EnergyTimeSeries, MidpointStepper, Modal,
                      RandomSmooth, default_dt, energy_balance_residual,
-                     make_initial, simulate, step)
+                     make_initial, simulate)
 from .fitting import (Classification, DecayFit, FitWindowError, bt_map,
                       classify_decay, fit_exponential, fit_polynomial)
 from .model import (BeamParameters, BoundaryCondition, DampingProfile,
@@ -21,7 +21,7 @@ from .model import (BeamParameters, BoundaryCondition, DampingProfile,
 from .plots import PlotInputError, emit_plots
 from .runner import simulate_run, spectrum_run, sweep_run
 from .spectral import (AxisScan, DenseSolverCapError, GrowthFit,
-                       ResonantFrequencyError, SpectralReport, default_axis_grid,
+                       ResonantFrequencyError, default_axis_grid,
                        eigenvalues, fit_growth_exponent, growth_ratio,
                        resolvent_norm, scan_axis, scan_cap, spectral_abscissa)
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration or inputs, 3 numerical
-failure (blowup, resonance, dense-solver cap).
+failure (blowup, resonance, dense-solver cap, a failed factorization).
 """
 
 from __future__ import annotations
@@ -10,16 +10,19 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import ConfigError, load_config, load_sweep
 from .discretize import AdmissibilityError
-from .evolve import EnergyMonotonicityError, NumericalBlowupError
+from .evolve import EnergyMonotonicityError, NumericalBlowupError, SingularStepError
 from .plots import PlotInputError, emit_plots
 from .runner import simulate_run, spectrum_run, sweep_run
-from .spectral import DenseSolverCapError, ResonantFrequencyError
+from .spectral import DenseSolverCapError, ResonantFrequencyError, thread_count
 
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, PlotInputError, ValueError)
-_NUMERICAL_ERRORS = (NumericalBlowupError, EnergyMonotonicityError,
-                     ResonantFrequencyError, DenseSolverCapError)
+# LinAlgError subclasses ValueError, so this tuple is tried first
+_NUMERICAL_ERRORS = (NumericalBlowupError, EnergyMonotonicityError, SingularStepError,
+                     ResonantFrequencyError, DenseSolverCapError, np.linalg.LinAlgError)
 
 
 def _config_arg(parser, name):
@@ -76,6 +79,8 @@ def _load(args):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command in ("spectrum", "sweep"):
+            thread_count(args.workers)  # refuse a bad worker count before any work
         if args.command == "simulate":
             report = simulate_run(_load(args), dump_operators=args.dump_operators)
             print(f"wrote {report['config_id'][:12]} -> {args.outputs or report['config']['outputs']}")

@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from .discretize import DiscreteSystem
+from .config import auto_dt
+from .discretize import DiscreteSystem, diagonal_blocks
 
 
 class NumericalBlowupError(RuntimeError):
@@ -27,6 +30,10 @@ class NumericalBlowupError(RuntimeError):
 
 class EnergyMonotonicityError(RuntimeError):
     """Discrete energy increased beyond the roundoff allowance."""
+
+
+class SingularStepError(RuntimeError):
+    """The implicit step matrix is singular to working precision."""
 
 
 @dataclass(frozen=True)
@@ -54,22 +61,18 @@ InitialData = Modal | RandomSmooth | Custom
 
 def default_dt(system: DiscreteSystem) -> float:
     """h / (2 c_max): about four steps per fastest cell-crossing time."""
-    return system.grid.h / (2.0 * system.params.max_wave_speed)
+    return auto_dt(system.params, system.grid.n)
 
 
 def undamped_modes(system: DiscreteSystem):
-    """Frequencies and eigenvectors of the conservative part, cached.
-
-    Returns (freqs, vectors) for the eigenvalues with positive imaginary
-    part, sorted by increasing frequency; columns are complex eigenvectors.
+    """Frequencies and shapes of the conservative part, by increasing frequency,
+    from one symmetric solve K phi = w^2 R phi with K and R the stiffness and
+    velocity blocks of M.  Mode k spans the states (phi_k, 0) and
+    (0, w_k phi_k); the shapes are scaled so each of those carries energy 1/2.
     """
-    if "modes" not in system._cache:
-        vals, vecs = scipy.linalg.eig(system.undamped_generator())
-        tol = 1e-9 * np.max(np.abs(vals))
-        keep = np.where(vals.imag > tol)[0]
-        order = keep[np.argsort(vals.imag[keep])]
-        system._cache["modes"] = (vals.imag[order].copy(), vecs[:, order].copy())
-    return system._cache["modes"]
+    w2, shapes = scipy.linalg.eigh(system.reduced_stiffness, np.diag(system.velocity_mass))
+    freqs = np.sqrt(w2)
+    return freqs, shapes / freqs
 
 
 def make_initial(system: DiscreteSystem, spec: InitialData) -> np.ndarray:
@@ -81,54 +84,65 @@ def make_initial(system: DiscreteSystem, spec: InitialData) -> np.ndarray:
             raise ValueError("custom state carries no energy")
         return U
 
-    freqs, vecs = undamped_modes(system)
+    freqs, shapes = undamped_modes(system)
     if isinstance(spec, Modal):
         if not 1 <= spec.index <= len(freqs):
             raise ValueError(f"mode index {spec.index} outside 1..{len(freqs)}")
-        w = vecs[:, spec.index - 1]
-        U = w.real if system.energy(w.real) >= system.energy(w.imag) else w.imag
-        U = U.copy()
+        U = np.concatenate([shapes[:, spec.index - 1], np.zeros(len(freqs))])
     elif isinstance(spec, RandomSmooth):
         if not 0.0 < spec.cutoff <= 1.0:
             raise ValueError("cutoff must lie in (0, 1]")
         k = max(1, math.ceil(spec.cutoff * len(freqs)))
         rng = np.random.default_rng(spec.seed)
         coeff = rng.standard_normal((k, 2))
-        U = vecs[:, :k].real @ coeff[:, 0] + vecs[:, :k].imag @ coeff[:, 1]
+        U = np.concatenate([shapes[:, :k] @ coeff[:, 0],
+                            shapes[:, :k] @ (freqs[:k] * coeff[:, 1])])
     else:
         raise TypeError(f"unknown initial data {spec!r}")
     return U / math.sqrt(system.energy(U))
 
 
 class MidpointStepper:
-    """LU-factored one-step map for a fixed step size."""
+    """Sparse-factored one-step map for a fixed step size.
+
+    The step runs on the node-level parts of the system: with nodal mass R,
+    damping C, stiffness K, the DNN border rows G and
+    P = R + dt/2 C + dt^2/4 K, the new velocity solves
+
+        [P    G] [p+]   [(2R - P) p - dt K q]
+        [G^T  0] [ * ] = [         0         ],    q+ = q + dt/2 (p + p+),
+
+    which is the Cayley step of A written in node coordinates.  States enter
+    and leave in reduced coordinates, as vectors or as matrices of column
+    states, real or complex.
+    """
 
     def __init__(self, system: DiscreteSystem, dt: float):
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
-        self.system = system
-        self.dt = dt
-        eye = np.eye(system.dimension)
-        self._lu = scipy.linalg.lu_factor(eye - 0.5 * dt * system.A)
-        self._forward = eye + 0.5 * dt * system.A
+        parts = system.parts
+        self.dt, self._half, self._nodes = dt, system.dimension // 2, parts.mass.size
+        K, G = parts.stiffness, sp.csc_matrix(parts.border)
+        P = sp.diags(parts.mass + 0.5 * dt * parts.damping) + (0.25 * dt * dt) * K
+        try:  # minimum degree on the symmetric pattern keeps the fill near the band
+            self._lu = scipy.sparse.linalg.splu(sp.bmat([[P, G], [G.T, None]], format="csc"),
+                                                permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as err:
+            raise SingularStepError(f"step matrix at dt={dt:g} cannot be factored: {err}") from err
+        forward = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * parts.mass) - P]),
+                             sp.csr_matrix((G.shape[1], 2 * K.shape[0]))])
+        self._rhs = diagonal_blocks(parts.to_nodes, parts.to_nodes).then(forward)
+        self._to_reduced = parts.to_reduced
 
     def step(self, U: np.ndarray) -> np.ndarray:
-        rhs = self._forward @ U
+        rhs = self._rhs(U)
         if np.iscomplexobj(rhs):
             # real factors; solve the parts separately
-            return (scipy.linalg.lu_solve(self._lu, rhs.real)
-                    + 1j * scipy.linalg.lu_solve(self._lu, rhs.imag))
-        return scipy.linalg.lu_solve(self._lu, rhs)
-
-
-def step(system: DiscreteSystem, U: np.ndarray, dt: float) -> np.ndarray:
-    """Advance one step of size dt > 0; factorizations are cached per dt."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    steppers = system._cache.setdefault("steppers", {})
-    if dt not in steppers:
-        steppers[dt] = MidpointStepper(system, dt)
-    return steppers[dt].step(U)
+            sol = self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
+        else:
+            sol = self._lu.solve(rhs)
+        p, h = self._to_reduced(sol[:self._nodes]), self._half
+        return np.concatenate([U[:h] + (0.5 * self.dt) * (U[h:] + p), p])
 
 
 @dataclass
@@ -142,13 +156,17 @@ class EnergyTimeSeries:
 
 def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
              T: float, dt: float | None = None, sample_stride: int = 1,
-             config_id: str = "", collect_balance: bool = False) -> EnergyTimeSeries:
+             config_id: str = "", collect_balance: bool = False,
+             balance_mode: str = "midpoint") -> EnergyTimeSeries:
     """Run to final time T, sampling energy and dissipation every
     ``sample_stride`` steps (the final state is always sampled).
 
     Energy is monitored at every step; a rise above 1e-12 * E(0) aborts, as
-    does a non-finite state.  With ``collect_balance`` the midpoint-state
-    energy identity residual is tracked and reported relative to E(0).
+    does a non-finite state.  With ``collect_balance`` the largest per-step
+    balance defect is reported relative to E(0): ``balance_mode`` "midpoint"
+    checks E+ - E = -dt D(U_mid), which the scheme satisfies exactly, and
+    "trapezoid_rate" checks (E+ - E)/dt = -(D(U) + D(U+))/2, whose defect is
+    (dt^2/4) D(A U_mid) and therefore shrinks by 4 when dt halves.
     """
     if not T > 0:
         raise ValueError("final time must be positive")
@@ -158,12 +176,17 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
         dt = default_dt(system)
     if not dt > 0:
         raise ValueError("dt must be positive")
+    # defects of (E, E+, g, g+), where D = |g|^2 and g is linear in the state
+    defects = {"midpoint": lambda E, F, g, h: abs(F - E + 0.25 * dt * float((g + h) @ (g + h))),
+               "trapezoid_rate": lambda E, F, g, h: abs((F - E) / dt + 0.5 * float(g @ g + h @ h))}
+    if balance_mode not in defects:
+        raise ValueError(f"unknown balance mode {balance_mode!r}")
     U = initial if isinstance(initial, np.ndarray) else make_initial(system, initial)
     U = np.asarray(U, dtype=float)
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
-    E_prev = system.energy(U)
+    E_prev, g_prev = system.energy_and_damping_root(U)
     if not E_prev > 0:
         raise ValueError("initial state carries no energy")
     E0 = E_prev
@@ -171,26 +194,24 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
 
     times = [0.0]
     energies = [E_prev]
-    dissipations = [system.dissipation_rate(U)]
+    dissipations = [float(g_prev @ g_prev)]
     max_residual = 0.0
 
     for k in range(1, n_steps + 1):
         U_next = stepper.step(U)
-        E_next = system.energy(U_next)
+        E_next, g_next = system.energy_and_damping_root(U_next)
         if not math.isfinite(E_next):
             raise NumericalBlowupError(f"non-finite energy at step {k} (dt={dt})")
         if E_next > E_prev + rise_allowance:
             raise EnergyMonotonicityError(
                 f"energy rose by {E_next - E_prev:.3e} at step {k} (dt={dt})")
         if collect_balance:
-            mid = 0.5 * (U + U_next)
-            res = abs(E_next - E_prev + dt * system.dissipation_rate(mid))
-            max_residual = max(max_residual, res)
+            max_residual = max(max_residual, defects[balance_mode](E_prev, E_next, g_prev, g_next))
         if k % sample_stride == 0 or k == n_steps:
             times.append(k * dt)
             energies.append(E_next)
-            dissipations.append(system.dissipation_rate(U_next))
-        U, E_prev = U_next, E_next
+            dissipations.append(float(g_next @ g_next))
+        U, E_prev, g_prev = U_next, E_next, g_next
 
     return EnergyTimeSeries(
         times=np.asarray(times),
@@ -203,29 +224,7 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
 
 def energy_balance_residual(system: DiscreteSystem, U0: np.ndarray, dt: float,
                             n_steps: int, mode: str = "midpoint") -> float:
-    """Largest per-step energy-balance defect relative to E(0).
-
-    mode "midpoint" checks E+ - E = -dt D(U_mid), which the scheme satisfies
-    exactly, so the result sits at roundoff level.  mode "trapezoid_rate"
-    checks the rate form (E+ - E)/dt = -(D(U) + D(U+))/2 instead, whose
-    defect is (dt^2/4) D(A U_mid) and therefore shrinks by 4 when dt halves.
-    """
-    if mode not in ("midpoint", "trapezoid_rate"):
-        raise ValueError(f"unknown balance mode {mode!r}")
-    stepper = MidpointStepper(system, dt)
-    U = np.asarray(U0, dtype=float)
-    E_prev = system.energy(U)
-    D_prev = system.dissipation_rate(U)
-    E0 = E_prev
-    worst = 0.0
-    for _ in range(n_steps):
-        U_next = stepper.step(U)
-        E_next = system.energy(U_next)
-        D_next = system.dissipation_rate(U_next)
-        if mode == "midpoint":
-            res = abs(E_next - E_prev + dt * system.dissipation_rate(0.5 * (U + U_next)))
-        else:
-            res = abs((E_next - E_prev) / dt + 0.5 * (D_prev + D_next))
-        worst = max(worst, res)
-        U, E_prev, D_prev = U_next, E_next, D_next
-    return worst / E0
+    """Largest per-step energy-balance defect over n_steps relative to E(0),
+    for either balance mode of ``simulate``."""
+    return simulate(system, U0, T=n_steps * dt, dt=dt, sample_stride=n_steps,
+                    collect_balance=True, balance_mode=mode).max_balance_residual

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
-import scipy.stats
+import scipy.special
 
 DENSE_CAP = 3600
 RESONANCE_RTOL = 1e-14
@@ -40,11 +40,21 @@ class ResonantFrequencyError(RuntimeError):
 
 
 def thread_count(requested: int | None = None) -> int:
-    if requested is not None and requested >= 1:
+    """Worker threads: the request, else BRESSE_THREADS, else the CPU count.
+    A request or a BRESSE_THREADS value below 1 is refused."""
+    if requested is not None:
+        if requested < 1:
+            raise ValueError(f"worker count must be a positive integer, got {requested}")
         return requested
-    env = os.environ.get("BRESSE_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
+    env = os.environ.get("BRESSE_THREADS", "").strip()
+    if env:
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(f"BRESSE_THREADS must be a positive integer, got {env!r}")
+        return count
     return os.cpu_count() or 1
 
 
@@ -273,7 +283,7 @@ def fit_growth_exponent(lambdas, norms, window=None,
     resid = y - (slope * x + intercept)
     sxx = float(np.sum((x - x.mean()) ** 2))
     se = np.sqrt(float(resid @ resid) / (m - 2) / sxx) if m > 2 else np.inf
-    half = scipy.stats.t.ppf(0.975, m - 2) * se
+    half = scipy.special.stdtrit(m - 2, 0.975) * se
     return GrowthFit(alpha=float(slope), ci=(float(slope - half), float(slope + half)),
                      window=(float(lam_lo), float(lam_hi)), n_used=m)
 
@@ -285,10 +295,3 @@ def growth_ratio(scan: AxisScan, decades: float = 1.0) -> float:
     bottom = r[lam <= lam.min() * 10 ** decades]
     return float(top.max() / bottom.max())
 
-
-@dataclass
-class SpectralReport:
-    eigenvalues: np.ndarray
-    spectral_abscissa: float
-    scan: AxisScan | None = None
-    growth: GrowthFit | None = None

@@ -7,6 +7,8 @@ import os
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
+import scipy.sparse.linalg
 
 from bresse import cli
 from bresse.config import (
@@ -221,6 +223,47 @@ def test_cli_spectrum_dense_cap_exit_code(tmp_path, capsys):
     path, _ = write_cfg(tmp_path, n=601)
     assert cli.main(["spectrum", path]) == 3
     assert "smaller n" in capsys.readouterr().err
+
+
+def test_cli_singular_step_factor_exit_code(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    path, _ = write_cfg(tmp_path, n=8, T=0.5)
+    assert cli.main(["simulate", path]) == 3
+    assert "singular" in capsys.readouterr().err
+
+
+def test_cli_failed_cholesky_exit_code(tmp_path, capsys, monkeypatch):
+    def indefinite(*args, **kwargs):
+        raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", indefinite)
+    path, _ = write_cfg(tmp_path, n=8)
+    assert cli.main(["spectrum", path]) == 3
+    assert "positive definite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_cli_bad_thread_env_exit_code(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("BRESSE_THREADS", "abc")
+    path, raw = write_cfg(tmp_path, n=8)
+    if command == "sweep":
+        path = str(tmp_path / "sweep.json")
+        with open(path, "w") as fh:
+            json.dump({"base": raw, "grid": {"params.b": [1.0, 2.0]},
+                       "outputs": str(tmp_path / "atlas")}, fh)
+    assert cli.main([command, path]) == 2
+    assert "BRESSE_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep"])
+def test_cli_rejects_nonpositive_workers(tmp_path, capsys, command):
+    path, _ = write_cfg(tmp_path, n=8)
+    assert cli.main([command, path, "--workers", "-3"]) == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "run"))
 
 
 def test_dump_operators_roundtrip(tmp_path):

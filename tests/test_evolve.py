@@ -1,5 +1,7 @@
 """Time integration: Cayley oracle, conservation, monotonicity, balance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,29 +17,31 @@ from bresse.evolve import (
     energy_balance_residual,
     make_initial,
     simulate,
-    step,
     undamped_modes,
 )
+from bresse import discretize
+from bresse.discretize import assemble
 
 from conftest import DDD, DNN, beam, interval, system_for
 
 
-class _ScalarSystem:
-    """One-dimensional stand-in with a prescribed growth rate, used to drive
-    the safety guards, which a dissipative assembly can never trigger."""
+def _anti_damped(a0):
+    """A fresh assembly whose damping term has its sign flipped, so that the
+    flow pumps energy in; used to drive the safety guards, which a
+    dissipative assembly can never trigger."""
+    system = assemble(beam(), interval(a0=a0), DDD, 8)
+    system.parts = dataclasses.replace(system.parts, damping=-system.parts.damping)
+    return system
 
-    def __init__(self, rate):
-        self.A = np.array([[rate]])
 
-    @property
-    def dimension(self):
-        return 1
-
-    def energy(self, U):
-        return 0.5 * float(U @ U)
-
-    def dissipation_rate(self, U):
-        return 0.0
+def _dense_cayley(system, dt, U):
+    """Reference step from the dense generator: LU of I - dt/2 A."""
+    eye = np.eye(system.dimension)
+    lu = scipy.linalg.lu_factor(eye - 0.5 * dt * system.A)
+    rhs = (eye + 0.5 * dt * system.A) @ U
+    if np.iscomplexobj(rhs):
+        return scipy.linalg.lu_solve(lu, rhs.real) + 1j * scipy.linalg.lu_solve(lu, rhs.imag)
+    return scipy.linalg.lu_solve(lu, rhs)
 
 
 def test_step_is_cayley_transform_on_each_mode():
@@ -56,12 +60,42 @@ def test_step_is_cayley_transform_on_each_mode():
 
 def test_step_zero_state_and_linearity():
     system = system_for(beam(), interval(), DDD, 8)
-    assert np.all(step(system, np.zeros(system.dimension), 0.05) == 0.0)
+    stepper = MidpointStepper(system, 0.05)
+    assert np.all(stepper.step(np.zeros(system.dimension)) == 0.0)
     rng = np.random.default_rng(1)
     U, V = rng.standard_normal((2, system.dimension))
-    lhs = step(system, 2.0 * U + V, 0.05)
-    rhs = 2.0 * step(system, U, 0.05) + step(system, V, 0.05)
+    lhs = stepper.step(2.0 * U + V)
+    rhs = 2.0 * stepper.step(U) + stepper.step(V)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense_apply_max", [0, discretize.DENSE_APPLY_MAX])
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_step_matches_dense_cayley_oracle(bc, dense_apply_max, monkeypatch):
+    """The sparse node-coordinate step equals the dense Cayley map on real and
+    complex states, given as single vectors and as matrices of columns, and
+    the energy and dissipation equal the dense quadratic forms; with the
+    coordinate maps applied as sparse-plus-low-rank products (threshold 0)
+    and as the dense products that small meshes use."""
+    monkeypatch.setattr(discretize, "DENSE_APPLY_MAX", dense_apply_max)
+    dt = 0.013
+    rng = np.random.default_rng(11)
+    for n, a0 in ((6, 0.0), (12, 2.0)):
+        system = assemble(beam(rho1=0.8, kappa0=1.3, l=0.7), interval(a0=a0), bc, n)
+        stepper = MidpointStepper(system, dt)
+        d = system.dimension
+        for shape in ((d,), (d, 4)):
+            real = rng.standard_normal(shape)
+            cplx = real + 1j * rng.standard_normal(shape)
+            for U in (real, cplx):
+                got = stepper.step(U)
+                assert got.shape == U.shape and got.dtype == U.dtype
+                assert np.abs(got - _dense_cayley(system, dt, U)).max() <= 1e-12
+        U = rng.standard_normal(d)
+        v = U[system.slices["v"]]
+        assert system.energy(U) == pytest.approx(0.5 * U @ system.M @ U, rel=1e-12)
+        assert system.dissipation_rate(U) == pytest.approx(
+            v @ system.damping_gram @ v, rel=1e-12, abs=1e-14)
 
 
 def test_undamped_energy_conserved():
@@ -69,6 +103,19 @@ def test_undamped_energy_conserved():
     series = simulate(system, RandomSmooth(seed=2), T=5.0, dt=0.01)
     drift = np.abs(series.energy - series.energy[0]).max()
     assert drift <= 1e-11 * series.energy[0]
+
+
+def test_undamped_long_run_has_no_energy_rise():
+    """2,000 undamped DNN steps at n = 100: a well-conditioned step keeps
+    every per-step rise at roundoff level, which an ill-conditioned basis
+    for the mean-zero constraint does not."""
+    system = system_for(beam(), interval(a0=0.0), DNN, 100)
+    dt = system.grid.h / 2.0
+    series = simulate(system, RandomSmooth(seed=42), T=2000 * dt, dt=dt)
+    E0 = series.energy[0]
+    assert series.times.size == 2001
+    assert np.diff(series.energy).max() <= 1e-12 * E0
+    assert np.abs(series.energy - E0).max() <= 1e-11 * E0
 
 
 def test_time_reversal_returns_initial_state():
@@ -88,14 +135,16 @@ def test_damped_energy_monotone():
 
 
 def test_energy_rise_guard_triggers():
+    system = _anti_damped(1.0)
     with pytest.raises(EnergyMonotonicityError, match="rose"):
-        simulate(_ScalarSystem(1.0), np.array([1.0]), T=1.0, dt=0.1)
+        simulate(system, make_initial(system, Modal(1)), T=1.0, dt=0.1)
 
 
 def test_blowup_guard_triggers():
+    system = _anti_damped(30.0)
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalBlowupError, match="non-finite"):
-            simulate(_ScalarSystem(30.0), np.array([1e200]), T=1.0, dt=0.1)
+            simulate(system, np.full(system.dimension, 1e200), T=1.0, dt=0.1)
 
 
 def test_simulate_argument_validation():
