@@ -31,7 +31,6 @@ class LambdaGrid:
     min: float = 1.0
     max: float | None = None
     count: int = 48
-    spacing: str = "log"
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,9 @@ def parse_config(raw: dict) -> RunConfig:
              "lambda_grid holds min, max, count, spacing")
     lam_max = lg.get("max", "auto")
     lam_max = None if lam_max == "auto" else float(lam_max)
+    _require(lg.get("spacing", "log") == "log", "only log spacing is supported")
     grid = LambdaGrid(min=float(lg.get("min", 1.0)), max=lam_max,
-                      count=int(lg.get("count", 48)),
-                      spacing=str(lg.get("spacing", "log")))
-    _require(grid.spacing == "log", "only log spacing is supported")
+                      count=int(lg.get("count", 48)))
     _require(grid.count >= 2, "lambda_grid.count must be >= 2")
     _require(grid.min > 0, "lambda_grid.min must be positive")
     if grid.max is not None:
@@ -150,7 +148,7 @@ def to_dict(cfg: RunConfig) -> dict:
             "min": cfg.lambda_grid.min,
             "max": "auto" if cfg.lambda_grid.max is None else cfg.lambda_grid.max,
             "count": cfg.lambda_grid.count,
-            "spacing": cfg.lambda_grid.spacing,
+            "spacing": "log",  # the only spacing; kept so config ids stay as they were
         },
         "outputs": cfg.outputs,
     }

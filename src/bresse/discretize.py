@@ -81,7 +81,9 @@ class Grid:
         object.__setattr__(self, "h", self.length / self.n)
 
     def nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.h
+        x = np.arange(self.n + 1) * self.h
+        x[-1] = min(x[-1], self.length)  # n*h can round one ulp past the length
+        return x
 
     def trapezoid_weights(self) -> np.ndarray:
         mu = np.full(self.n + 1, self.h)
@@ -181,12 +183,6 @@ def mean_zero_basis(grid: Grid) -> np.ndarray:
     carries no strain energy and is invisible to the damping term.
     """
     return _mean_zero_maps(grid)[0].dense()
-
-
-def mean_zero_projector(grid: Grid) -> np.ndarray:
-    """mu-orthogonal projector onto the mean-zero subspace (for diagnostics)."""
-    B = mean_zero_basis(grid)
-    return B @ (B.T * grid.trapezoid_weights()[None, :])
 
 
 @dataclass(frozen=True)

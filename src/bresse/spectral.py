@@ -2,11 +2,11 @@
 
 The resolvent norm is taken in the energy inner product: with M = F^T F the
 Cholesky split, r(lam) = 1 / sigma_min(F (i lam I - A) F^{-1}).  The weighted
-matrix F A F^{-1} is reduced once per system to complex triangular Schur form;
-unitary similarity leaves singular values untouched, so each frequency then
-costs two triangular solves per inverse-iteration step instead of a fresh
-factorization.  A dense SVD route is kept both as a cross-check and as the
-fallback when the iteration stalls.
+matrix F A F^{-1} gets one real Schur factorization per system: its eigenvalues
+are the spectrum, and its complex triangular form serves the scan, since
+unitary similarity leaves singular values untouched and each frequency then
+costs two triangular solves per inverse-iteration step.  A dense SVD route is
+kept both as a cross-check and as the fallback when the iteration stalls.
 """
 
 from __future__ import annotations
@@ -66,12 +66,7 @@ def _check_cap(dim: int, cap: int = DENSE_CAP) -> None:
 
 def eigenvalues(system, cap: int = DENSE_CAP) -> np.ndarray:
     """Full spectrum of the generator, sorted by imaginary part."""
-    if "eigenvalues" not in system._cache:
-        _check_cap(system.dimension, cap)
-        vals = scipy.linalg.eigvals(system.A)
-        order = np.lexsort((vals.real, vals.imag))
-        system._cache["eigenvalues"] = vals[order]
-    return system._cache["eigenvalues"]
+    return _schur_factors(system, cap).eigenvalues
 
 
 def spectral_abscissa(system, cap: int = DENSE_CAP, guard: bool = True) -> float:
@@ -93,31 +88,42 @@ def spectral_abscissa(system, cap: int = DENSE_CAP, guard: bool = True) -> float
 
 @dataclass
 class _SchurFactors:
-    T: np.ndarray       # complex upper triangular, unitarily similar to F A F^-1
-    scale: float        # norm proxy used by the resonance guard
+    T: np.ndarray            # complex upper triangular, Fortran order, unitarily similar to F A F^-1
+    eigenvalues: np.ndarray  # from the real Schur form: exact conjugate pairs, sorted by Im
+    scale: float             # norm proxy used by the resonance guard
 
 
-def _schur_factors(system) -> _SchurFactors:
+def _schur_factors(system, cap: int = DENSE_CAP) -> _SchurFactors:
     if "schur" not in system._cache:
-        _check_cap(system.dimension)
+        _check_cap(system.dimension, cap)
         F = scipy.linalg.cholesky(system.M)          # M = F^T F, F upper
         X = F @ system.A
         # right-multiply by F^{-1} through a transposed triangular solve
         Atil = scipy.linalg.solve_triangular(F, X.T, trans="T", lower=False).T
-        T, Z = scipy.linalg.schur(Atil, output="real")
-        T, Z = scipy.linalg.rsf2csf(T, Z)
-        system._cache["schur"] = _SchurFactors(T=T, scale=float(np.linalg.norm(T, 1)))
+        gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
+        # optimal workspace, as schur() queries it: the default minimum is slower
+        lwork = int(gees(lambda re, im: None, Atil, lwork=-1)[-2][0].real)
+        T, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError(f"real Schur factorization failed (info={info})")
+        # singular values are unitarily invariant: rsf2csf gets dummy Schur vectors
+        T, _ = scipy.linalg.rsf2csf(T, np.zeros_like(T))
+        vals = wr + 1j * wi
+        order = np.lexsort((vals.real, vals.imag))
+        system._cache["schur"] = _SchurFactors(T=np.asfortranarray(T), eigenvalues=vals[order],
+                                               scale=float(np.linalg.norm(T, 1)))
     return system._cache["schur"]
 
 
 def _sigma_min_triangular(T1: np.ndarray) -> float:
     """Smallest singular value of an upper-triangular matrix by inverse
-    iteration on (T1^H T1)^{-1} with a fixed start vector."""
+    iteration on (T1^H T1)^{-1} with a fixed start vector.  T1 is Fortran
+    ordered, so LAPACK's trtrs solves with it in place."""
     d = T1.shape[0]
+    trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (T1,))
 
-    def solve_normal(x):
-        y = scipy.linalg.solve_triangular(T1, x, lower=False, trans="C")
-        return scipy.linalg.solve_triangular(T1, y, lower=False)
+    def solve_normal(x):  # resolvent_norm's guard keeps T1's diagonal nonzero
+        return trtrs(T1, trtrs(T1, x, trans=2)[0])[0]
 
     op = scipy.sparse.linalg.LinearOperator((d, d), matvec=solve_normal, dtype=complex)
     v0 = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
@@ -141,12 +147,12 @@ def resolvent_norm(system, lam: float, method: str = "iterative") -> float:
         raise ValueError(f"unknown method {method!r}")
     fac = _schur_factors(system)
     d = fac.T.shape[0]
-    T1 = 1j * lam * np.eye(d) - fac.T
-    scale = abs(lam) + fac.scale
-    floor = RESONANCE_RTOL * scale
-    # for triangular matrices sigma_min <= min |diagonal|
-    if float(np.min(np.abs(np.diag(T1)))) <= floor:
-        raise ResonantFrequencyError(lam, float(np.min(np.abs(np.diag(T1)))))
+    T1 = -fac.T                     # a Fortran-ordered copy, shifted in place
+    T1.flat[::d + 1] += 1j * lam
+    floor = RESONANCE_RTOL * (abs(lam) + fac.scale)
+    gap = float(np.min(np.abs(np.diag(T1))))  # a triangular T1 has sigma_min <= gap
+    if gap <= floor:
+        raise ResonantFrequencyError(lam, gap)
     if method == "svd":
         sigma = float(scipy.linalg.svdvals(T1)[-1])
     else:

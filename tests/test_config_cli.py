@@ -77,7 +77,7 @@ def test_parse_defaults_and_roundtrip():
     cfg = parse_config(raw)
     assert cfg.dt == auto_dt(cfg.params, cfg.n)
     assert cfg.lambda_grid.max is None
-    assert cfg.lambda_grid.spacing == "log"
+    assert to_dict(cfg)["lambda_grid"]["spacing"] == "log"
     assert parse_config(to_dict(cfg)) == cfg
 
 
@@ -97,6 +97,17 @@ def test_config_id_ignores_output_location():
     assert config_id(replace(cfg, outputs="elsewhere")) == cid
     assert config_id(replace(cfg, n=13)) != cid
     assert config_id(parse_config(base_raw())) == cid
+
+
+def test_config_id_is_stable_across_versions():
+    """Sweep directories are named by config_id, so its canonical payload
+    must not drift; both hashes were computed before the spacing field of
+    LambdaGrid was dropped, and "spacing": "log" still parses."""
+    assert config_id(parse_config(base_raw())) == (
+        "4ec5ba3444ce7b076bd1bb7c2917e3fd01c9d798173c0c78afd9ae5a0831ceae")
+    spaced = base_raw(lambda_grid={"min": 2.0, "max": 40.0, "spacing": "log"})
+    assert config_id(parse_config(spaced)) == (
+        "72efc594c7f01e341c7726964c6e7a45da6c655676cb3421e3a1fdb996c2a6f2")
 
 
 def test_auto_dt_formula():

@@ -18,13 +18,18 @@ from bresse.discretize import (
     dirichlet_embedding,
     endpoint_selectors,
     mean_zero_basis,
-    mean_zero_projector,
 )
 from bresse.evolve import undamped_modes
 from bresse.model import damping_values
 from bresse import spectral
 
 from conftest import DDD, DNN, beam, interval, system_for
+
+
+def mean_zero_projector(grid):
+    """mu-orthogonal projector onto the mean-zero subspace."""
+    B = mean_zero_basis(grid)
+    return B @ (B.T * grid.trapezoid_weights()[None, :])
 
 
 def quadrature_energy(system, U):
@@ -67,6 +72,20 @@ def test_grid_geometry():
         Grid(n=3, length=1.0)
     with pytest.raises(ValueError):
         Grid(n=8, length=0.0)
+
+
+def test_last_node_never_passes_length():
+    """13 * (1.7 / 13) rounds to 1.7000000000000002; the damping evaluation
+    would refuse that node, so the grid clamps it and assembly goes through.
+    Nodes that round short of the length keep their arange values."""
+    g = Grid(n=13, length=1.7)
+    assert g.nodes()[-1] == 1.7
+    np.testing.assert_array_equal(g.nodes()[:-1], np.arange(13) * g.h)
+    for bc in (DNN, DDD):
+        system = assemble(beam(L=1.7), interval(), bc, 13)
+        assert system.grid.nodes()[-1] == system.params.L
+    short = Grid(n=49, length=1.0)
+    np.testing.assert_array_equal(short.nodes(), np.arange(50) * short.h)
 
 
 def test_difference_operator_exact_on_linear():

@@ -7,6 +7,7 @@ SVD) and shares no code with the production path.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bresse import spectral
 from bresse.spectral import (
@@ -26,10 +27,42 @@ from bresse.spectral import (
 from conftest import DDD, DNN, beam, interval, scan_for, system_for
 
 
-def oracle_resolvent_norm(system, lam):
+def oracle_singular_values(system, lam):
     F = np.linalg.cholesky(system.M).T
     W = F @ (1j * lam * np.eye(system.dimension) - system.A) @ np.linalg.inv(F)
-    return 1.0 / np.linalg.svd(W, compute_uv=False).min()
+    return np.linalg.svd(W, compute_uv=False)
+
+
+def oracle_resolvent_norm(system, lam):
+    return 1.0 / oracle_singular_values(system, lam).min()
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+@pytest.mark.parametrize("a0", [1.0, 0.0])
+def test_eigenvalues_match_dense_eig_oracle(bc, a0):
+    """The Schur spectrum against scipy's eigvals of the dense generator,
+    each value matched to its nearest counterpart in both directions."""
+    system = system_for(beam(kappa0=2.0), interval(a0=a0), bc, 24)
+    ours = eigenvalues(system)
+    theirs = scipy.linalg.eigvals(system.A)
+    assert ours.size == theirs.size
+    dist = np.abs(ours[:, None] - theirs[None, :])
+    gap = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+    assert gap <= 1e-12 * np.abs(theirs).max()
+
+
+def test_near_resonant_norm_matches_svd_oracle():
+    """At the least-damped resolved mode of an unequal-speed system the
+    smallest singular value is tiny; the iterative norm must still agree
+    with the dense SVD up to Weyl's backward-error allowance."""
+    system = system_for(beam(kappa0=2.0), interval(), DNN, 50)
+    eig = eigenvalues(system)
+    band = eig[(eig.imag > 0) & (eig.imag <= scan_cap(system))]
+    lam = float(band[np.argmax(band.real)].imag)
+    sv = oracle_singular_values(system, lam)
+    assert sv[-1] <= 1e-6 * sv[0]  # genuinely near the spectrum
+    tol = 1e-8 * sv[-1] + 16 * np.finfo(float).eps * sv[0]
+    assert abs(1.0 / resolvent_norm(system, lam) - sv[-1]) <= tol
 
 
 def test_eigenvalues_sorted_and_cached():
