@@ -8,7 +8,7 @@ wave-speed regime prediction.
 
 from .config import LambdaGrid, RunConfig, auto_dt, config_id, load_config, parse_config
 from .discretize import (AdmissibilityError, DiscreteSystem, Grid, assemble,
-                         assemble_energy_gram, dirichlet_embedding, mean_zero_basis)
+                         dirichlet_embedding)
 from .evolve import (Custom, EnergyTimeSeries, MidpointStepper, Modal,
                      RandomSmooth, default_dt, energy_balance_residual,
                      make_initial, simulate)

@@ -28,13 +28,13 @@ energy degenerate.
 
 Two coordinate systems describe one state.  The node coordinates hold the
 stored node values of each field; there the stiffness K = S^T W S, the
-nodal mass and the damping quadrature are sparse, and the DNN mean-zero
-constraints are two border rows.  The reduced coordinates, the public state
-of the package, expand the DNN fields in an orthonormal basis of the
-mean-zero subspace built from one Householder reflector.  The reflector
-makes the change of coordinates a sparse map plus a rank-one term per
-field, so states convert in O(n); the dense generator A and energy Gram M
-of the reduced coordinates are built only on request.
+nodal mass, the damping quadrature and the square roots of the energy and
+the dissipation are sparse, and the DNN mean-zero constraints are two border
+rows.  Time stepping runs in these coordinates.  The reduced coordinates,
+the public state of the package, expand the DNN fields in an orthonormal
+basis of the mean-zero subspace built from one Householder reflector, so
+to_nodes and to_reduced convert states in O(n); the dense generator A and
+energy Gram M of the reduced coordinates are built only on request.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .model import (
@@ -56,13 +55,15 @@ from .model import (
 
 FIELD_NAMES = ("phi", "psi", "omega", "u", "v", "z")
 
-# maps with at most this many entries are applied as one dense product,
-# which on small meshes costs less than the sparse call overhead
-DENSE_APPLY_MAX = 32768
+DENSE_CAP = 3600  # largest dimension built as a dense d x d matrix
 
 
 class AdmissibilityError(ValueError):
     """Raised when the requested geometry makes the energy norm degenerate."""
+
+
+class DenseSolverCapError(RuntimeError):
+    """System too large for a dense d x d build or solve."""
 
 
 @dataclass(frozen=True)
@@ -110,79 +111,19 @@ def dirichlet_embedding(n: int) -> sp.csr_matrix:
     return sp.eye(n + 1, n - 1, k=-1, format="csr")
 
 
-@dataclass(frozen=True)
-class SparsePlusLowRank:
-    """Linear map x -> S x + L (W^T x): a sparse matrix plus a thin dense term.
+def _reflector(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vector u of the Householder reflector H = I - 2 u u^T that sends
+    sqrt(mu)/|sqrt(mu)| to the first coordinate axis, and sqrt(mu) itself.
 
-    Applies to vectors and, column by column, to matrices, real or complex.
+    The mean-zero basis of a DNN field is columns 1..n of H divided row-wise
+    by sqrt(mu): orthonormal in the trapezoid product, and each direction a
+    scaled shift plus one rank-one term, so both coordinate maps cost O(n).
     """
-
-    S: sp.csr_matrix
-    L: np.ndarray
-    W: np.ndarray
-
-    @cached_property
-    def _small(self) -> np.ndarray | None:
-        return self.dense() if self.S.shape[0] * self.S.shape[1] <= DENSE_APPLY_MAX else None
-
-    def __call__(self, x):
-        if self._small is not None:
-            return self._small @ x
-        y = self.S @ x
-        if self.L.shape[1]:
-            y = y + self.L @ (self.W.T @ x)
-        return y
-
-    def then(self, B) -> "SparsePlusLowRank":
-        """The map x -> B (S x + L W^T x), for a sparse B."""
-        return SparsePlusLowRank(sp.csr_matrix(B @ self.S), np.asarray(B @ self.L), self.W)
-
-    def dense(self) -> np.ndarray:
-        return self.S.toarray() + self.L @ self.W.T
-
-
-def _identity_map(m: int) -> SparsePlusLowRank:
-    return SparsePlusLowRank(sp.eye(m, format="csr"), np.zeros((m, 0)), np.zeros((m, 0)))
-
-
-def diagonal_blocks(*maps: SparsePlusLowRank) -> SparsePlusLowRank:
-    """Block-diagonal map acting on stacked inputs, one block per map."""
-    return SparsePlusLowRank(sp.block_diag([m.S for m in maps], format="csr"),
-                             scipy.linalg.block_diag(*(m.L for m in maps)),
-                             scipy.linalg.block_diag(*(m.W for m in maps)))
-
-
-def _mean_zero_maps(grid: Grid) -> tuple[SparsePlusLowRank, SparsePlusLowRank]:
-    """Coefficient-to-node map of the mean-zero basis, and its inverse on
-    mean-zero node vectors.
-
-    The basis is columns 1..n of the Householder reflector H = I - 2 u u^T
-    that sends sqrt(mu)/|sqrt(mu)| to the first coordinate axis, divided
-    row-wise by sqrt(mu).  Each direction is a scaled shift plus one
-    rank-one term, so both maps cost O(n).
-    """
-    mu = grid.trapezoid_weights()
-    root = np.sqrt(mu)
+    root = np.sqrt(grid.trapezoid_weights())
     u = root / np.linalg.norm(root)
     u[0] -= 1.0
     u /= np.linalg.norm(u)
-    shift = sp.eye(grid.n + 1, grid.n, k=-1, format="csr")     # y -> (0, y)
-    to_nodes = SparsePlusLowRank(sp.diags(1.0 / root) @ shift,
-                                 (-2.0 * u / root)[:, None], u[1:, None])
-    to_coeffs = SparsePlusLowRank(sp.csr_matrix(shift.T @ sp.diags(root)),
-                                  -2.0 * u[1:, None], (u * root)[:, None])
-    return to_nodes, to_coeffs
-
-
-def mean_zero_basis(grid: Grid) -> np.ndarray:
-    """Orthonormal basis of the mean-zero subspace in the trapezoid product.
-
-    Columns B satisfy B^T diag(mu) B = I and mu^T B = 0, built from the
-    Householder reflector that sends sqrt(mu)/|sqrt(mu)| to the first
-    coordinate axis.  Used for the zero-slope fields, whose constant mode
-    carries no strain energy and is invisible to the damping term.
-    """
-    return _mean_zero_maps(grid)[0].dense()
+    return u, root
 
 
 @dataclass(frozen=True)
@@ -193,7 +134,7 @@ class NodeParts:
     omega at interior nodes (DDD) or at all n+1 nodes (DNN); displacements
     q and velocities p share that layout, and the energy is
     (q^T K q + p^T diag(mass) p) / 2 on the states that satisfy
-    border^T q = border^T p = 0.
+    border^T q = border^T p = 0.  The two roots act on x = [q; p].
     """
 
     embeddings: dict            # field -> stored nodes into all n+1 nodes
@@ -203,8 +144,9 @@ class NodeParts:
     mass: np.ndarray            # rho * mu at the stored nodes
     damping: np.ndarray         # mu * a at the psi nodes, zero elsewhere
     border: np.ndarray          # DNN: columns mu on psi and on omega; DDD: none
-    to_nodes: SparsePlusLowRank     # reduced half-state -> node half-state
-    to_reduced: SparsePlusLowRank   # its inverse on the constrained states
+    reflector: tuple | None     # DNN: _reflector(grid) of the mean-zero basis; DDD: none
+    energy_root: sp.csr_matrix  # e = [sqrt(W) S q; sqrt(mass) p], E = |e|^2 / 2
+    damping_root: sp.csr_matrix  # g = sqrt(damping) p on its support, D = |g|^2
 
     @property
     def node_slices(self) -> dict[str, slice]:
@@ -215,7 +157,7 @@ class NodeParts:
 
 def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
                 a_nodes: np.ndarray) -> NodeParts:
-    """Strain map, stiffness, mass, damping and coordinate maps on the nodes;
+    """Strain map, stiffness, mass, damping and energy roots on the nodes;
     the energy and the generator both derive from these, so the two stay
     exactly compatible."""
     n, h, l = grid.n, grid.h, params.l
@@ -250,18 +192,60 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
                            params.rho1 * mu_at["omega"]])
     zeros = {f: np.zeros(emb[f].shape[1]) for f in emb}
     damping = np.concatenate([zeros["phi"], Epsi.T @ (mu * a_nodes), zeros["omega"]])
+    energy_root = sp.bmat([[sp.diags(np.sqrt(cell_w)) @ S, None],
+                           [None, sp.diags(np.sqrt(mass))]], format="csr")
+    shear = sp.diags(np.sqrt(damping), format="csr")[np.flatnonzero(damping)]
+    damping_root = sp.hstack([sp.csr_matrix(shear.shape), shear], format="csr")
 
     if bc is BoundaryCondition.DDD:
-        border = np.zeros((mass.size, 0))
-        to_nodes = to_reduced = _identity_map(mass.size)
+        border, reflector = np.zeros((mass.size, 0)), None
     else:
         border = np.column_stack([
             np.concatenate([zeros["phi"], mu, zeros["omega"]]),
             np.concatenate([zeros["phi"], zeros["psi"], mu])])
-        mz_nodes, mz_coeffs = _mean_zero_maps(grid)
-        to_nodes = diagonal_blocks(_identity_map(n - 1), mz_nodes, mz_nodes)
-        to_reduced = diagonal_blocks(_identity_map(n - 1), mz_coeffs, mz_coeffs)
-    return NodeParts(emb, S, cell_w, K, mass, damping, border, to_nodes, to_reduced)
+        reflector = _reflector(grid)
+    return NodeParts(emb, S, cell_w, K, mass, damping, border, reflector,
+                     energy_root, damping_root)
+
+
+def to_nodes(parts: NodeParts, y: np.ndarray) -> np.ndarray:
+    """Node half-states of reduced half-states y (a vector or columns), in O(n).
+
+    phi and all DDD fields keep their values; a DNN psi or omega block with
+    mean-zero coefficients c has node values H[:, 1:] c / sqrt(mu).
+    """
+    if parts.reflector is None:
+        return y
+    u, root = parts.reflector
+    n = root.size - 1
+    Y = y.reshape(y.shape[0], -1)
+    X = np.zeros((3 * n + 1, Y.shape[1]), dtype=Y.dtype)
+    X[:n - 1] = Y[:n - 1]
+    for c, x in ((Y[n - 1:2 * n - 1], X[n - 1:2 * n]), (Y[2 * n - 1:], X[2 * n:])):
+        x[1:] = (1.0 / root[1:])[:, None] * c
+        x += (-2.0 * u / root)[:, None] * (u[1:] @ c)
+    return X.reshape(X.shape[:1] + y.shape[1:])
+
+
+def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
+    """Inverse of to_nodes on node half-states that satisfy the border rows:
+    c = H[1:, :] (sqrt(mu) x) per DNN psi or omega block, in O(n)."""
+    if parts.reflector is None:
+        return x
+    u, root = parts.reflector
+    n = root.size - 1
+    X = x.reshape(x.shape[0], -1)
+    Y = np.empty((3 * n - 1, X.shape[1]), dtype=X.dtype)
+    Y[:n - 1] = X[:n - 1]
+    for w, c in ((X[n - 1:2 * n], Y[n - 1:2 * n - 1]), (X[2 * n:], Y[2 * n - 1:])):
+        c[:] = root[1:, None] * w[1:] + (-2.0 * u[1:])[:, None] * ((u * root) @ w)
+    return Y.reshape(Y.shape[:1] + x.shape[1:])
+
+
+def _check_cap(dim: int, cap: int) -> None:
+    if dim > cap:
+        raise DenseSolverCapError(
+            f"dimension {dim} exceeds the dense solver cap {cap}; use a smaller n")
 
 
 class DiscreteSystem:
@@ -270,55 +254,44 @@ class DiscreteSystem:
     State ordering is (phi, psi, omega, u, v, z) with u, v, z the velocities,
     in reduced coordinates.  The sparse node-level parts carry the physics;
     energy and dissipation are evaluated from them in O(n), and the dense A,
-    M and damping Gram are built from them on first use.  M is symmetric
-    positive definite; the damping enters A only on the shear-velocity block.
+    M and damping Gram are built from them on first use, below the dense
+    cap.  M is symmetric positive definite; the damping enters A only on the
+    shear-velocity block.
     """
 
     def __init__(self, params, profile, bc, grid, parts: NodeParts, slices,
-                 velocity_weights, damping_nodes):
+                 velocity_mass):
         self.params = params
         self.profile = profile
         self.bc = bc
         self.grid = grid
         self.parts = parts
         self.slices = slices
-        self.velocity_weights = velocity_weights
-        self.damping_nodes = damping_nodes
-        self._cache: dict = {}
+        self.velocity_mass = velocity_mass
+        self.schur = None  # spectral's Schur factors, built on first use
         self._half = slices["omega"].stop
-        self.velocity_mass = np.concatenate([
-            params.rho1 * velocity_weights["u"],
-            params.rho2 * velocity_weights["v"],
-            params.rho1 * velocity_weights["z"],
-        ])
-        # one sparse product gives e(U) and g(U) with E = |e|^2 / 2 and D = |g|^2
-        strain = parts.to_nodes.then(sp.diags(np.sqrt(parts.cell_weights)) @ parts.strain)
-        velocity = _identity_map(self._half)
-        energy = diagonal_blocks(strain, velocity.then(sp.diags(np.sqrt(self.velocity_mass))))
-        support = np.flatnonzero(parts.damping)
-        shear = parts.to_nodes.then(sp.diags(np.sqrt(parts.damping), format="csr")[support])
-        damping = diagonal_blocks(velocity.then(sp.csr_matrix((0, self._half))), shear)
-        self._energy_rows = energy.S.shape[0]
-        self._roots = SparsePlusLowRank(sp.vstack([energy.S, damping.S], format="csr"),
-                                        scipy.linalg.block_diag(energy.L, damping.L),
-                                        np.hstack([energy.W, damping.W]))
 
     @property
     def dimension(self) -> int:
         return 2 * self._half
 
-    def energy_and_damping_root(self, U: np.ndarray) -> tuple[float, np.ndarray]:
-        """E(U), and the vector g, linear in U, with D(U) = |g|^2."""
-        y = self._roots(U)
-        e = y[:self._energy_rows]
-        return 0.5 * float(e @ e), y[self._energy_rows:]
+    def node_state(self, U: np.ndarray) -> np.ndarray:
+        """x = [q; p] in node coordinates of reduced states U (vector or columns)."""
+        h = self._half
+        return np.concatenate([to_nodes(self.parts, U[:h]), to_nodes(self.parts, U[h:])])
+
+    def reduced_state(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of node_state on states that satisfy the border rows."""
+        m = self.parts.mass.size
+        return np.concatenate([to_reduced(self.parts, x[:m]), to_reduced(self.parts, x[m:])])
 
     def energy(self, U: np.ndarray) -> float:
-        return self.energy_and_damping_root(U)[0]
+        e = self.parts.energy_root @ self.node_state(U)
+        return 0.5 * float(e @ e)
 
     def dissipation_rate(self, U: np.ndarray) -> float:
         """-dE/dt along the flow: quadrature of a(x) times shear velocity squared."""
-        g = self.energy_and_damping_root(U)[1]
+        g = self.parts.damping_root @ self.node_state(U)
         return float(g @ g)
 
     def field_values(self, U: np.ndarray, name: str) -> np.ndarray:
@@ -328,26 +301,28 @@ class DiscreteSystem:
         k = FIELD_NAMES.index(name)
         half = U[:self._half] if k < 3 else U[self._half:]
         base = FIELD_NAMES[k % 3]
-        stored = self.parts.to_nodes(half)[self.parts.node_slices[base]]
+        stored = to_nodes(self.parts, half)[self.parts.node_slices[base]]
         return self.parts.embeddings[base] @ stored
 
     @cached_property
     def reduced_stiffness(self) -> np.ndarray:
         """Dense stiffness block of M in the reduced coordinates."""
-        ST = self.parts.strain @ self.parts.to_nodes.dense()
+        ST = self.parts.strain @ to_nodes(self.parts, np.eye(self._half))
         K = ST.T @ (self.parts.cell_weights[:, None] * ST)
         return 0.5 * (K + K.T)
 
     @cached_property
     def damping_gram(self) -> np.ndarray:
         """Dense damping quadrature on the reduced shear-velocity block."""
-        T = self.parts.to_nodes.dense()[self.parts.node_slices["psi"], self.slices["psi"]]
-        C = T.T @ (self.parts.damping[self.parts.node_slices["psi"], None] * T)
+        psi = self.parts.node_slices["psi"]
+        T = to_nodes(self.parts, np.eye(self._half))[psi, self.slices["psi"]]
+        C = T.T @ (self.parts.damping[psi, None] * T)
         return 0.5 * (C + C.T)
 
     @cached_property
     def M(self) -> np.ndarray:
         """Dense energy Gram of the reduced coordinates, built on first use."""
+        _check_cap(self.dimension, DENSE_CAP)
         h = self._half
         M = np.zeros((2 * h, 2 * h))
         M[:h, :h] = self.reduced_stiffness
@@ -357,6 +332,7 @@ class DiscreteSystem:
     @cached_property
     def A(self) -> np.ndarray:
         """Dense generator of the reduced coordinates, built on first use."""
+        _check_cap(self.dimension, DENSE_CAP)
         h = self._half
         A = np.zeros((2 * h, 2 * h))
         A[:h, h:] = np.eye(h)
@@ -367,23 +343,20 @@ class DiscreteSystem:
 
 
 def _build(params, profile, bc, grid) -> DiscreteSystem:
-    a_nodes = (np.zeros(grid.n + 1) if profile is None
-               else damping_values(profile, grid.nodes(), params.L))
+    a_nodes = damping_values(profile, grid.nodes(), params.L)
     parts = _node_parts(params, bc, grid, a_nodes)
     m = grid.n if bc is BoundaryCondition.DNN else grid.n - 1
     sizes = [grid.n - 1, m, m] * 2
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     slices = {f: slice(int(offsets[i]), int(offsets[i + 1]))
               for i, f in enumerate(FIELD_NAMES)}
-    mu = grid.trapezoid_weights()
-    if bc is BoundaryCondition.DDD:
-        w_node = mu[1:-1]
-        weights = {"u": w_node, "v": w_node, "z": w_node}
-    else:
-        # the mean-zero basis is orthonormal in the mu product, so the reduced
-        # velocity Gram is the identity by construction
-        weights = {"u": mu[1:-1], "v": np.ones(grid.n), "z": np.ones(grid.n)}
-    return DiscreteSystem(params, profile, bc, grid, parts, slices, weights, a_nodes)
+    w_node = grid.trapezoid_weights()[1:-1]
+    # the mean-zero basis is orthonormal in the mu product, so the reduced
+    # velocity Gram of a DNN field is the identity by construction
+    w_free = w_node if bc is BoundaryCondition.DDD else np.ones(grid.n)
+    velocity_mass = np.concatenate([params.rho1 * w_node, params.rho2 * w_free,
+                                    params.rho1 * w_free])
+    return DiscreteSystem(params, profile, bc, grid, parts, slices, velocity_mass)
 
 
 def assemble(params: BeamParameters, profile: DampingProfile,
@@ -401,9 +374,3 @@ def assemble(params: BeamParameters, profile: DampingProfile,
                 f"length L={params.L} is within {adm.tol:g} of {adm.nearest_n}*pi/l; "
                 "the zero-slope problem is degenerate there, perturb L or l")
     return _build(params, profile, bc, Grid(n=n, length=params.L))
-
-
-def assemble_energy_gram(params: BeamParameters, bc: BoundaryCondition,
-                         grid: Grid) -> np.ndarray:
-    """Energy Gram matrix alone (no damping dependence)."""
-    return _build(params, None, bc, grid).M

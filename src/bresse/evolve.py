@@ -8,6 +8,11 @@ respected exactly: the discrete energy satisfies
 
 to rounding, where D is the damping quadrature, so undamped runs conserve
 energy and damped runs dissipate it monotonically at machine precision.
+
+``simulate`` converts its initial state to node coordinates once and runs
+the whole loop there: each step is one sparse solve, an in-place update of
+x = [q; p] and one sparse product that yields the next right-hand side
+together with the energy and dissipation of the new state.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .config import auto_dt
-from .discretize import DiscreteSystem, diagonal_blocks
+from .discretize import DiscreteSystem
 
 
 class NumericalBlowupError(RuntimeError):
@@ -112,16 +117,19 @@ class MidpointStepper:
         [P    G] [p+]   [(2R - P) p - dt K q]
         [G^T  0] [ * ] = [         0         ],    q+ = q + dt/2 (p + p+),
 
-    which is the Cayley step of A written in node coordinates.  States enter
-    and leave in reduced coordinates, as vectors or as matrices of column
-    states, real or complex.
+    which is the Cayley step of A written in node coordinates.  One stacked
+    sparse matrix ``rows`` maps x = [q; p] to that right-hand side followed
+    by the energy and damping roots of x, so one product per step serves
+    both the next solve and the energy monitor.  ``step`` takes and returns
+    reduced states, as vectors or as matrices of column states, real or
+    complex.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
         parts = system.parts
-        self.dt, self._half, self._nodes = dt, system.dimension // 2, parts.mass.size
+        self.dt, self.system, self._nodes = dt, system, parts.mass.size
         K, G = parts.stiffness, sp.csc_matrix(parts.border)
         P = sp.diags(parts.mass + 0.5 * dt * parts.damping) + (0.25 * dt * dt) * K
         try:  # minimum degree on the symmetric pattern keeps the fill near the band
@@ -129,20 +137,33 @@ class MidpointStepper:
                                                 permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as err:
             raise SingularStepError(f"step matrix at dt={dt:g} cannot be factored: {err}") from err
-        forward = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * parts.mass) - P]),
-                             sp.csr_matrix((G.shape[1], 2 * K.shape[0]))])
-        self._rhs = diagonal_blocks(parts.to_nodes, parts.to_nodes).then(forward)
-        self._to_reduced = parts.to_reduced
+        self._solve_rows = K.shape[0] + G.shape[1]
+        self._energy_stop = self._solve_rows + parts.energy_root.shape[0]
+        self.rows = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * parts.mass) - P]),
+                               sp.csr_matrix((G.shape[1], 2 * K.shape[0])),
+                               parts.energy_root, parts.damping_root], format="csr")
 
-    def step(self, U: np.ndarray) -> np.ndarray:
-        rhs = self._rhs(U)
+    def advance(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Step the node state x in place, given y = rows @ x."""
+        rhs = y[:self._solve_rows]
         if np.iscomplexobj(rhs):
             # real factors; solve the parts separately
             sol = self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
         else:
             sol = self._lu.solve(rhs)
-        p, h = self._to_reduced(sol[:self._nodes]), self._half
-        return np.concatenate([U[:h] + (0.5 * self.dt) * (U[h:] + p), p])
+        m = self._nodes
+        x[:m] += (0.5 * self.dt) * (x[m:] + sol[:m])
+        x[m:] = sol[:m]
+
+    def energy_and_damping_root(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """E of the state behind y = rows @ x, and g with D = |g|^2."""
+        e = y[self._solve_rows:self._energy_stop]
+        return 0.5 * float(e @ e), y[self._energy_stop:]
+
+    def step(self, U: np.ndarray) -> np.ndarray:
+        x = self.system.node_state(U)
+        self.advance(x, self.rows @ x)
+        return self.system.reduced_state(x)
 
 
 @dataclass
@@ -182,11 +203,12 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     if balance_mode not in defects:
         raise ValueError(f"unknown balance mode {balance_mode!r}")
     U = initial if isinstance(initial, np.ndarray) else make_initial(system, initial)
-    U = np.asarray(U, dtype=float)
+    x = system.node_state(np.asarray(U, dtype=float))
 
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
-    E_prev, g_prev = system.energy_and_damping_root(U)
+    y = stepper.rows @ x
+    E_prev, g_prev = stepper.energy_and_damping_root(y)
     if not E_prev > 0:
         raise ValueError("initial state carries no energy")
     E0 = E_prev
@@ -198,8 +220,9 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     max_residual = 0.0
 
     for k in range(1, n_steps + 1):
-        U_next = stepper.step(U)
-        E_next, g_next = system.energy_and_damping_root(U_next)
+        stepper.advance(x, y)
+        y = stepper.rows @ x
+        E_next, g_next = stepper.energy_and_damping_root(y)
         if not math.isfinite(E_next):
             raise NumericalBlowupError(f"non-finite energy at step {k} (dt={dt})")
         if E_next > E_prev + rise_allowance:
@@ -211,7 +234,7 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
             times.append(k * dt)
             energies.append(E_next)
             dissipations.append(float(g_next @ g_next))
-        U, E_prev, g_prev = U_next, E_next, g_next
+        E_prev, g_prev = E_next, g_next
 
     return EnergyTimeSeries(
         times=np.asarray(times),

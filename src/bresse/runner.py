@@ -89,6 +89,8 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     cid = config_id(cfg)
     out = cfg.outputs
     os.makedirs(out, exist_ok=True)
+    if dump_operators:
+        _dump_operators(system, out)
 
     U0 = make_initial(system, RandomSmooth(seed=cfg.seed))
     stride = max(1, math.ceil((cfg.T / cfg.dt) / MAX_ENERGY_ROWS))
@@ -128,8 +130,6 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     }
     write_energy_csv(series, os.path.join(out, "energy.csv"))
     write_json(report, os.path.join(out, "report.json"))
-    if dump_operators:
-        _dump_operators(system, out)
     return report
 
 
@@ -141,6 +141,8 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False,
     cid = config_id(cfg)
     out = cfg.outputs
     os.makedirs(out, exist_ok=True)
+    if dump_operators:
+        _dump_operators(system, out)
 
     eigs = spectral.eigenvalues(system)
     abscissa = spectral.spectral_abscissa(system)
@@ -202,8 +204,6 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False,
     if scan is not None:
         write_resolvent_csv(scan, os.path.join(out, "resolvent.csv"))
     write_json(summary, os.path.join(out, "summary.json"))
-    if dump_operators:
-        _dump_operators(system, out)
     return summary
 
 
@@ -224,9 +224,12 @@ def _atlas_cell(value) -> str:
 def _sweep_point(cfg: RunConfig) -> dict:
     row = {name: None for name in ATLAS_COLUMNS}
     row.update(config_id=config_id(cfg), bc=cfg.bc.value, n=cfg.n, status="ok", error="")
+    stage = "assemble"
     try:
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
+        stage = "simulate"
         report = simulate_run(cfg, system=system)
+        stage = "spectrum"
         summary = spectrum_run(cfg, system=system, workers=1)
         row.update(
             regime=report["regime"],
@@ -237,7 +240,7 @@ def _sweep_point(cfg: RunConfig) -> dict:
             classified_decay=report["classification"]["law"],
         )
     except Exception as err:  # a bad point must not sink the sweep
-        row.update(status="error", error=f"{type(err).__name__}: {err}")
+        row.update(status="error", error=f"{stage}: {type(err).__name__}: {err}")
     return row
 
 

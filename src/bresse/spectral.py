@@ -20,12 +20,9 @@ import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
 
-DENSE_CAP = 3600
+from .discretize import DENSE_CAP, DenseSolverCapError, _check_cap  # noqa: F401
+
 RESONANCE_RTOL = 1e-14
-
-
-class DenseSolverCapError(RuntimeError):
-    """System too large for the dense eigen/Schur path."""
 
 
 class ResonantFrequencyError(RuntimeError):
@@ -58,12 +55,6 @@ def thread_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def _check_cap(dim: int, cap: int = DENSE_CAP) -> None:
-    if dim > cap:
-        raise DenseSolverCapError(
-            f"dimension {dim} exceeds the dense solver cap {cap}; use a smaller n")
-
-
 def eigenvalues(system, cap: int = DENSE_CAP) -> np.ndarray:
     """Full spectrum of the generator, sorted by imaginary part."""
     return _schur_factors(system, cap).eigenvalues
@@ -94,7 +85,7 @@ class _SchurFactors:
 
 
 def _schur_factors(system, cap: int = DENSE_CAP) -> _SchurFactors:
-    if "schur" not in system._cache:
+    if system.schur is None:
         _check_cap(system.dimension, cap)
         F = scipy.linalg.cholesky(system.M)          # M = F^T F, F upper
         X = F @ system.A
@@ -110,9 +101,9 @@ def _schur_factors(system, cap: int = DENSE_CAP) -> _SchurFactors:
         T, _ = scipy.linalg.rsf2csf(T, np.zeros_like(T))
         vals = wr + 1j * wi
         order = np.lexsort((vals.real, vals.imag))
-        system._cache["schur"] = _SchurFactors(T=np.asfortranarray(T), eigenvalues=vals[order],
-                                               scale=float(np.linalg.norm(T, 1)))
-    return system._cache["schur"]
+        system.schur = _SchurFactors(T=np.asfortranarray(T), eigenvalues=vals[order],
+                                     scale=float(np.linalg.norm(T, 1)))
+    return system.schur
 
 
 def _sigma_min_triangular(T1: np.ndarray) -> float:

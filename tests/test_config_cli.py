@@ -10,7 +10,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse.linalg
 
-from bresse import cli
+from bresse import cli, discretize
 from bresse.config import (
     ConfigError,
     auto_dt,
@@ -236,6 +236,14 @@ def test_cli_spectrum_dense_cap_exit_code(tmp_path, capsys):
     assert "smaller n" in capsys.readouterr().err
 
 
+def test_cli_dump_operators_refused_above_dense_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(discretize, "DENSE_CAP", 10)
+    path, raw = write_cfg(tmp_path, n=8)
+    assert cli.main(["simulate", path, "--dump-operators"]) == 3
+    assert "smaller n" in capsys.readouterr().err
+    assert not [f for f in os.listdir(raw["outputs"]) if f.endswith(".mtx")]
+
+
 def test_cli_singular_step_factor_exit_code(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -354,7 +362,7 @@ def test_sweep_continues_past_failing_point(tmp_path):
     rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
     assert sorted(c[9] for c in rows) == ["error", "ok"]
     bad = next(c for c in rows if c[9] == "error")
-    assert bad[10] != ""
+    assert bad[10].startswith("spectrum: ValueError: ")
 
 
 def test_sweep_validation():

@@ -13,17 +13,30 @@ from bresse.discretize import (
     AdmissibilityError,
     Grid,
     assemble,
-    assemble_energy_gram,
     difference_operator,
     dirichlet_embedding,
     endpoint_selectors,
-    mean_zero_basis,
+    to_nodes,
 )
 from bresse.evolve import undamped_modes
 from bresse.model import damping_values
 from bresse import spectral
 
 from conftest import DDD, DNN, beam, interval, system_for
+
+
+def mean_zero_basis(grid):
+    """The program's orthonormal mean-zero basis on a grid: node values of the
+    reduced psi coordinates of a DNN assembly.  Columns B satisfy
+    B^T diag(mu) B = I and mu^T B = 0 when the construction is right."""
+    system = assemble(beam(L=grid.length), interval(), DNN, grid.n)
+    nodes = to_nodes(system.parts, np.eye(system.dimension // 2))
+    return nodes[system.parts.node_slices["psi"], system.slices["psi"]]
+
+
+def assemble_energy_gram(params, bc, grid):
+    """Energy Gram matrix alone: M of the undamped assembly on the grid."""
+    return assemble(params, interval(a0=0.0), bc, grid.n).M
 
 
 def mean_zero_projector(grid):

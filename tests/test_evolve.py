@@ -19,7 +19,6 @@ from bresse.evolve import (
     simulate,
     undamped_modes,
 )
-from bresse import discretize
 from bresse.discretize import assemble
 
 from conftest import DDD, DNN, beam, interval, system_for
@@ -69,15 +68,11 @@ def test_step_zero_state_and_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-@pytest.mark.parametrize("dense_apply_max", [0, discretize.DENSE_APPLY_MAX])
 @pytest.mark.parametrize("bc", [DNN, DDD])
-def test_step_matches_dense_cayley_oracle(bc, dense_apply_max, monkeypatch):
+def test_step_matches_dense_cayley_oracle(bc):
     """The sparse node-coordinate step equals the dense Cayley map on real and
     complex states, given as single vectors and as matrices of columns, and
-    the energy and dissipation equal the dense quadratic forms; with the
-    coordinate maps applied as sparse-plus-low-rank products (threshold 0)
-    and as the dense products that small meshes use."""
-    monkeypatch.setattr(discretize, "DENSE_APPLY_MAX", dense_apply_max)
+    the energy and dissipation equal the dense quadratic forms."""
     dt = 0.013
     rng = np.random.default_rng(11)
     for n, a0 in ((6, 0.0), (12, 2.0)):
@@ -96,6 +91,27 @@ def test_step_matches_dense_cayley_oracle(bc, dense_apply_max, monkeypatch):
         assert system.energy(U) == pytest.approx(0.5 * U @ system.M @ U, rel=1e-12)
         assert system.dissipation_rate(U) == pytest.approx(
             v @ system.damping_gram @ v, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_simulate_matches_dense_cayley_trajectory(bc):
+    """The energy and dissipation series of the node-coordinate loop equal
+    those of a trajectory stepped with the dense Cayley map and evaluated as
+    U^T M U / 2 and v^T C v in the reduced coordinates."""
+    system = assemble(beam(rho1=0.8, kappa0=1.3, l=0.7), interval(a0=2.0), bc, 12)
+    dt, steps = 0.02, 200
+    U = make_initial(system, RandomSmooth(seed=6))
+    series = simulate(system, U, T=steps * dt, dt=dt)
+    energy, dissipation = [], []
+    for _ in range(steps + 1):
+        v = U[system.slices["v"]]
+        energy.append(0.5 * U @ system.M @ U)
+        dissipation.append(v @ system.damping_gram @ v)
+        U = _dense_cayley(system, dt, U)
+    E0 = series.energy[0]
+    assert series.times.size == steps + 1
+    assert np.abs(series.energy - energy).max() <= 1e-12 * E0
+    assert np.abs(series.dissipation - dissipation).max() <= 1e-12 * E0
 
 
 def test_undamped_energy_conserved():
