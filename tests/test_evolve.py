@@ -19,6 +19,7 @@ from bresse.evolve import (
     simulate,
     undamped_modes,
 )
+from bresse import discretize
 from bresse.discretize import assemble
 
 from conftest import DDD, DNN, beam, interval, system_for
@@ -68,28 +69,35 @@ def test_step_zero_state_and_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("dense_cap", [0, 1 << 15])
 @pytest.mark.parametrize("bc", [DNN, DDD])
-def test_step_matches_dense_cayley_oracle(bc):
+def test_step_matches_dense_cayley_oracle(bc, dense_cap, monkeypatch):
     """The sparse node-coordinate step equals the dense Cayley map on real and
     complex states, given as single vectors and as matrices of columns, and
-    the energy and dissipation equal the dense quadratic forms."""
+    the energy and dissipation equal the dense quadratic forms; with the
+    dense cap at 0, so that building A or M would raise, and above every
+    dimension here.  The oracle is built under the real cap."""
     dt = 0.013
     rng = np.random.default_rng(11)
     for n, a0 in ((6, 0.0), (12, 2.0)):
-        system = assemble(beam(rho1=0.8, kappa0=1.3, l=0.7), interval(a0=a0), bc, n)
-        stepper = MidpointStepper(system, dt)
-        d = system.dimension
-        for shape in ((d,), (d, 4)):
-            real = rng.standard_normal(shape)
-            cplx = real + 1j * rng.standard_normal(shape)
-            for U in (real, cplx):
-                got = stepper.step(U)
-                assert got.shape == U.shape and got.dtype == U.dtype
-                assert np.abs(got - _dense_cayley(system, dt, U)).max() <= 1e-12
-        U = rng.standard_normal(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(discretize, "DENSE_CAP", dense_cap)
+            system = assemble(beam(rho1=0.8, kappa0=1.3, l=0.7), interval(a0=a0), bc, n)
+            stepper = MidpointStepper(system, dt)
+            d = system.dimension
+            states = []
+            for shape in ((d,), (d, 4)):
+                real = rng.standard_normal(shape)
+                states += [real, real + 1j * rng.standard_normal(shape)]
+            stepped = [stepper.step(U) for U in states]
+            U = rng.standard_normal(d)
+            energy, dissipation = system.energy(U), system.dissipation_rate(U)
+        for got, V in zip(stepped, states):
+            assert got.shape == V.shape and got.dtype == V.dtype
+            assert np.abs(got - _dense_cayley(system, dt, V)).max() <= 1e-12
         v = U[system.slices["v"]]
-        assert system.energy(U) == pytest.approx(0.5 * U @ system.M @ U, rel=1e-12)
-        assert system.dissipation_rate(U) == pytest.approx(
+        assert energy == pytest.approx(0.5 * U @ system.M @ U, rel=1e-12)
+        assert dissipation == pytest.approx(
             v @ system.damping_gram @ v, rel=1e-12, abs=1e-14)
 
 
