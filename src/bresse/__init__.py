@@ -7,8 +7,8 @@ wave-speed regime prediction.
 """
 
 from .config import LambdaGrid, RunConfig, auto_dt, config_id, load_config, parse_config
-from .discretize import (AdmissibilityError, DiscreteSystem, Grid, assemble,
-                         dirichlet_embedding)
+from .discretize import (AdmissibilityError, DenseSolverCapError, DiscreteSystem,
+                         Grid, assemble, dirichlet_embedding)
 from .evolve import (Custom, EnergyTimeSeries, MidpointStepper, Modal,
                      RandomSmooth, default_dt, energy_balance_residual,
                      make_initial, simulate)
@@ -20,9 +20,9 @@ from .model import (BeamParameters, BoundaryCondition, DampingProfile,
                     damping_values, predicted_decay)
 from .plots import PlotInputError, emit_plots
 from .runner import simulate_run, spectrum_run, sweep_run
-from .spectral import (AxisScan, DenseSolverCapError, GrowthFit,
-                       ResonantFrequencyError, default_axis_grid,
-                       eigenvalues, fit_growth_exponent, growth_ratio,
-                       resolvent_norm, scan_axis, scan_cap, spectral_abscissa)
+from .spectral import (AxisScan, GrowthFit, ResonantFrequencyError,
+                       default_axis_grid, eigenvalues, fit_growth_exponent,
+                       growth_ratio, resolvent_norm, scan_axis, scan_cap,
+                       spectral_abscissa)
 
 __version__ = "0.1.0"

@@ -13,11 +13,11 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, load_config, load_sweep
-from .discretize import AdmissibilityError
+from .discretize import AdmissibilityError, DenseSolverCapError
 from .evolve import EnergyMonotonicityError, NumericalBlowupError, SingularStepError
 from .plots import PlotInputError, emit_plots
 from .runner import simulate_run, spectrum_run, sweep_run
-from .spectral import DenseSolverCapError, ResonantFrequencyError, thread_count
+from .spectral import ResonantFrequencyError, thread_count
 
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, PlotInputError, ValueError)
 # LinAlgError subclasses ValueError, so this tuple is tried first
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a parameter grid and write atlas.csv")
     _config_arg(swp, "sweep")
     swp.add_argument("--workers", type=int, default=None,
-                     help="sweep threads (default: BRESSE_THREADS or cpu count)")
+                     help="scan threads per point (default: BRESSE_THREADS or cpu count)")
 
     plt = sub.add_parser("plots", help="emit gnuplot scripts into a run directory")
     plt.add_argument("directory", help="directory holding the run CSV files")

@@ -56,6 +56,10 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -96,7 +100,7 @@ def parse_config(raw: dict) -> RunConfig:
                  f"{adm.tol:g} of {adm.nearest_n}*pi/l")
 
     n = raw["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 4,
+    _require(_is_int(n) and n >= 4,
              "n must be an integer >= 4")
     T = float(raw["T"])
     _require(T > 0, "T must be positive")
@@ -109,7 +113,7 @@ def parse_config(raw: dict) -> RunConfig:
         _require(dt > 0, "dt must be positive or the string 'auto'")
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
+    _require(_is_int(seed), "seed must be an integer")
 
     lg = raw.get("lambda_grid", {})
     _require(isinstance(lg, dict) and set(lg) <= {"min", "max", "count", "spacing"},
@@ -117,9 +121,9 @@ def parse_config(raw: dict) -> RunConfig:
     lam_max = lg.get("max", "auto")
     lam_max = None if lam_max == "auto" else float(lam_max)
     _require(lg.get("spacing", "log") == "log", "only log spacing is supported")
-    grid = LambdaGrid(min=float(lg.get("min", 1.0)), max=lam_max,
-                      count=int(lg.get("count", 48)))
-    _require(grid.count >= 2, "lambda_grid.count must be >= 2")
+    count = lg.get("count", 48)
+    _require(_is_int(count) and count >= 2, "lambda_grid.count must be an integer >= 2")
+    grid = LambdaGrid(min=float(lg.get("min", 1.0)), max=lam_max, count=count)
     _require(grid.min > 0, "lambda_grid.min must be positive")
     if grid.max is not None:
         _require(grid.max > grid.min, "lambda_grid.max must exceed min")
@@ -205,8 +209,10 @@ def load_sweep(path: str) -> SweepSpec:
     for path_, values in grid.items():
         _require(isinstance(values, list) and values,
                  f"grid entry {path_!r} must be a nonempty list")
+    max_points = raw.get("max_points", 256)
+    _require(_is_int(max_points), "sweep max_points must be an integer")
     spec = SweepSpec(base=raw["base"], grid=grid, outputs=str(raw["outputs"]),
-                     max_points=int(raw.get("max_points", 256)))
+                     max_points=max_points)
     total = 1
     for values in grid.values():
         total *= len(values)

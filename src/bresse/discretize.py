@@ -55,7 +55,7 @@ from .model import (
 
 FIELD_NAMES = ("phi", "psi", "omega", "u", "v", "z")
 
-DENSE_CAP = 3600  # largest dimension built as a dense d x d matrix
+DENSE_CAP = 3600  # largest dimension of a dense square matrix build
 
 
 class AdmissibilityError(ValueError):
@@ -242,10 +242,10 @@ def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
     return Y.reshape(Y.shape[:1] + x.shape[1:])
 
 
-def _check_cap(dim: int, cap: int) -> None:
-    if dim > cap:
+def _check_cap(dim: int) -> None:
+    if dim > DENSE_CAP:
         raise DenseSolverCapError(
-            f"dimension {dim} exceeds the dense solver cap {cap}; use a smaller n")
+            f"dimension {dim} exceeds the dense solver cap {DENSE_CAP}; use a smaller n")
 
 
 class DiscreteSystem:
@@ -307,6 +307,7 @@ class DiscreteSystem:
     @cached_property
     def reduced_stiffness(self) -> np.ndarray:
         """Dense stiffness block of M in the reduced coordinates."""
+        _check_cap(self._half)
         ST = self.parts.strain @ to_nodes(self.parts, np.eye(self._half))
         K = ST.T @ (self.parts.cell_weights[:, None] * ST)
         return 0.5 * (K + K.T)
@@ -322,7 +323,7 @@ class DiscreteSystem:
     @cached_property
     def M(self) -> np.ndarray:
         """Dense energy Gram of the reduced coordinates, built on first use."""
-        _check_cap(self.dimension, DENSE_CAP)
+        _check_cap(self.dimension)
         h = self._half
         M = np.zeros((2 * h, 2 * h))
         M[:h, :h] = self.reduced_stiffness
@@ -332,7 +333,7 @@ class DiscreteSystem:
     @cached_property
     def A(self) -> np.ndarray:
         """Dense generator of the reduced coordinates, built on first use."""
-        _check_cap(self.dimension, DENSE_CAP)
+        _check_cap(self.dimension)
         h = self._half
         A = np.zeros((2 * h, 2 * h))
         A[:h, h:] = np.eye(h)

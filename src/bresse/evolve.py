@@ -41,6 +41,9 @@ class SingularStepError(RuntimeError):
     """The implicit step matrix is singular to working precision."""
 
 
+SMOOTH_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class Modal:
     """k-th undamped mode (1-based, ordered by frequency), energy-normalized."""
@@ -49,10 +52,9 @@ class Modal:
 
 @dataclass(frozen=True)
 class RandomSmooth:
-    """Seeded random combination of the lowest ``cutoff`` fraction of the
-    undamped modes, energy-normalized.  Low cutoff keeps the data resolved."""
+    """Seeded random combination of the lowest SMOOTH_FRACTION of the
+    undamped modes, energy-normalized; the low cutoff keeps the data resolved."""
     seed: int = 0
-    cutoff: float = 0.1
 
 
 @dataclass
@@ -95,9 +97,7 @@ def make_initial(system: DiscreteSystem, spec: InitialData) -> np.ndarray:
             raise ValueError(f"mode index {spec.index} outside 1..{len(freqs)}")
         U = np.concatenate([shapes[:, spec.index - 1], np.zeros(len(freqs))])
     elif isinstance(spec, RandomSmooth):
-        if not 0.0 < spec.cutoff <= 1.0:
-            raise ValueError("cutoff must lie in (0, 1]")
-        k = max(1, math.ceil(spec.cutoff * len(freqs)))
+        k = max(1, math.ceil(SMOOTH_FRACTION * len(freqs)))
         rng = np.random.default_rng(spec.seed)
         coeff = rng.standard_normal((k, 2))
         U = np.concatenate([shapes[:, :k] @ coeff[:, 0],
@@ -171,13 +171,12 @@ class EnergyTimeSeries:
     times: np.ndarray
     energy: np.ndarray
     dissipation: np.ndarray
-    config_id: str = ""
     max_balance_residual: float | None = field(default=None, compare=False)
 
 
 def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
              T: float, dt: float | None = None, sample_stride: int = 1,
-             config_id: str = "", collect_balance: bool = False,
+             collect_balance: bool = False,
              balance_mode: str = "midpoint") -> EnergyTimeSeries:
     """Run to final time T, sampling energy and dissipation every
     ``sample_stride`` steps (the final state is always sampled).
@@ -240,7 +239,6 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
         times=np.asarray(times),
         energy=np.asarray(energies),
         dissipation=np.asarray(dissipations),
-        config_id=config_id,
         max_balance_residual=(max_residual / E0 if collect_balance else None),
     )
 

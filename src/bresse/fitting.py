@@ -10,6 +10,10 @@ from .evolve import EnergyTimeSeries
 from .model import DecayLaw
 
 
+MIN_DROP_DECADES = 2.0  # decay a run needs before classify_decay compares laws
+TIE_MARGIN = 0.01       # r^2 difference below which the two fits tie
+
+
 class FitWindowError(ValueError):
     """Fit window empty, too short, or otherwise unusable."""
 
@@ -88,14 +92,13 @@ class Classification:
 
 
 def classify_decay(series: EnergyTimeSeries, window=None,
-                   min_drop_decades: float = 2.0, horizon: float | None = None,
-                   tie_margin: float = 0.01) -> Classification:
+                   horizon: float | None = None) -> Classification:
     """Pick the better of the exponential and power-law descriptions.
 
     The comparison is declined (Inconclusive) when the run has not decayed
-    through ``min_drop_decades`` yet (unless it already spans the given
+    through MIN_DROP_DECADES yet (unless it already spans the given
     horizon), when the log-log window cannot exclude t <= 1, or when the two
-    transformed r-squared values differ by less than ``tie_margin``.
+    transformed r-squared values differ by less than TIE_MARGIN.
     """
     E0 = float(series.energy[0])
     E_end = float(series.energy[-1])
@@ -105,7 +108,7 @@ def classify_decay(series: EnergyTimeSeries, window=None,
     drop = np.log10(E0 / max(E_end, 1e-300))
     if drop < 0.1:
         return Classification(None, True, "no decay", None, None, None)
-    if drop < min_drop_decades and not (horizon is not None and t_end >= horizon):
+    if drop < MIN_DROP_DECADES and not (horizon is not None and t_end >= horizon):
         return Classification(None, True,
                               f"only {drop:.2f} decades of decay so far", None, None, None)
 
@@ -124,9 +127,9 @@ def classify_decay(series: EnergyTimeSeries, window=None,
                               None, exp_fit, None)
 
     delta = exp_fit.r_squared - poly_fit.r_squared
-    if abs(delta) < tie_margin:
+    if abs(delta) < TIE_MARGIN:
         return Classification(None, True,
-                              f"fits tie within {tie_margin} in r^2",
+                              f"fits tie within {TIE_MARGIN} in r^2",
                               None, exp_fit, poly_fit)
     if delta > 0:
         return Classification(DecayLaw.EXPONENTIAL, False, "exponential fits better",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.io
@@ -38,11 +37,6 @@ def write_energy_csv(series, path: str) -> None:
              for t, e, d in zip(series.times, series.energy, series.dissipation)]
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
-
-
-def read_energy_csv(path: str):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1], data[:, 2]
 
 
 def write_eigenvalues_csv(eigs: np.ndarray, path: str) -> None:
@@ -95,7 +89,7 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     U0 = make_initial(system, RandomSmooth(seed=cfg.seed))
     stride = max(1, math.ceil((cfg.T / cfg.dt) / MAX_ENERGY_ROWS))
     series = simulate(system, U0, T=cfg.T, dt=cfg.dt, sample_stride=stride,
-                      config_id=cid, collect_balance=True)
+                      collect_balance=True)
 
     regime = classify_regime(cfg.params)
     law = predicted_decay(regime)
@@ -221,7 +215,7 @@ def _atlas_cell(value) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
-def _sweep_point(cfg: RunConfig) -> dict:
+def _sweep_point(cfg: RunConfig, workers: int | None) -> dict:
     row = {name: None for name in ATLAS_COLUMNS}
     row.update(config_id=config_id(cfg), bc=cfg.bc.value, n=cfg.n, status="ok", error="")
     stage = "assemble"
@@ -230,7 +224,7 @@ def _sweep_point(cfg: RunConfig) -> dict:
         stage = "simulate"
         report = simulate_run(cfg, system=system)
         stage = "spectrum"
-        summary = spectrum_run(cfg, system=system, workers=1)
+        summary = spectrum_run(cfg, system=system, workers=workers)
         row.update(
             regime=report["regime"],
             predicted_decay=report["predicted_decay"],
@@ -245,21 +239,17 @@ def _sweep_point(cfg: RunConfig) -> dict:
 
 
 def sweep_run(spec: SweepSpec, workers: int | None = None) -> str:
-    """Run every sweep point (thread pool), then write one atlas row each.
+    """Run every sweep point in config order, then write one atlas row each.
 
-    Rows are merged and sorted by config id in a single thread, so the atlas
-    bytes do not depend on scheduling; failed points keep their row with the
-    error message instead of aborting the sweep.
+    ``workers`` is each point's resolvent-scan thread count, as for
+    ``spectrum_run``.  Rows are sorted by config id; failed points keep
+    their row with the error message instead of aborting the sweep.
     """
+    spectral.thread_count(workers)  # refuse a bad count before any point runs
     configs = expand_sweep(spec)
     os.makedirs(spec.outputs, exist_ok=True)
-    n_workers = min(spectral.thread_count(workers), len(configs))
-    if n_workers == 1:
-        rows = [_sweep_point(cfg) for cfg in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_sweep_point, configs))
-    rows.sort(key=lambda row: row["config_id"])
+    rows = sorted((_sweep_point(cfg, workers) for cfg in configs),
+                  key=lambda row: row["config_id"])
     lines = [",".join(ATLAS_COLUMNS)]
     lines += [",".join(_atlas_cell(row[c]) for c in ATLAS_COLUMNS) for row in rows]
     atlas = os.path.join(spec.outputs, "atlas.csv")

@@ -20,9 +20,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
 
-from .discretize import DENSE_CAP, DenseSolverCapError, _check_cap  # noqa: F401
-
 RESONANCE_RTOL = 1e-14
+BINS_PER_DECADE = 16  # log bins for peak insertion and the growth-fit envelope
 
 
 class ResonantFrequencyError(RuntimeError):
@@ -55,12 +54,12 @@ def thread_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def eigenvalues(system, cap: int = DENSE_CAP) -> np.ndarray:
+def eigenvalues(system) -> np.ndarray:
     """Full spectrum of the generator, sorted by imaginary part."""
-    return _schur_factors(system, cap).eigenvalues
+    return _schur_factors(system).eigenvalues
 
 
-def spectral_abscissa(system, cap: int = DENSE_CAP, guard: bool = True) -> float:
+def spectral_abscissa(system, guard: bool = True) -> float:
     """Largest real part over the resolved band |Im lam| <= scan_cap.
 
     Lattice dispersion misrepresents the coupling between wave families near
@@ -69,7 +68,7 @@ def spectral_abscissa(system, cap: int = DENSE_CAP, guard: bool = True) -> float
     guard that caps resolvent scans is applied here; guard=False returns the
     unrestricted maximum over the computed spectrum.
     """
-    vals = eigenvalues(system, cap)
+    vals = eigenvalues(system)
     if guard:
         band = vals[np.abs(vals.imag) <= scan_cap(system)]
         if band.size:
@@ -84,9 +83,9 @@ class _SchurFactors:
     scale: float             # norm proxy used by the resonance guard
 
 
-def _schur_factors(system, cap: int = DENSE_CAP) -> _SchurFactors:
+def _schur_factors(system) -> _SchurFactors:
     if system.schur is None:
-        _check_cap(system.dimension, cap)
+        # system.M refuses a dimension above DENSE_CAP before allocating
         F = scipy.linalg.cholesky(system.M)          # M = F^T F, F upper
         X = F @ system.A
         # right-multiply by F^{-1} through a transposed triangular solve
@@ -207,8 +206,7 @@ def scan_cap(system) -> float:
 
 
 def default_axis_grid(system, lam_min: float = 1.0, lam_max: float | None = None,
-                      count: int = 48, eigs: np.ndarray | None = None,
-                      bins_per_decade: int = 16) -> np.ndarray:
+                      count: int = 48, eigs: np.ndarray | None = None) -> np.ndarray:
     """Log-spaced backbone, optionally augmented with resonance peaks.
 
     A plain log grid steps over the O(1/|Re|) wide peaks that carry the
@@ -226,7 +224,7 @@ def default_axis_grid(system, lam_min: float = 1.0, lam_max: float | None = None
         if np.any(keep):
             freqs = freqs[keep]
             damp = np.abs(eigs.real[keep])
-            bins = np.floor(np.log10(freqs / lam_min) * bins_per_decade).astype(int)
+            bins = np.floor(np.log10(freqs / lam_min) * BINS_PER_DECADE).astype(int)
             peaks = []
             for b in np.unique(bins):
                 sel = bins == b
@@ -244,7 +242,7 @@ class GrowthFit:
 
 
 def fit_growth_exponent(lambdas, norms, window=None,
-                        bins_per_decade: int | None = 16) -> GrowthFit:
+                        bins_per_decade: int | None = BINS_PER_DECADE) -> GrowthFit:
     """Least-squares slope of log r against log lambda near the top of the
     scanned band, with a 95 percent confidence interval.
 

@@ -10,7 +10,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse.linalg
 
-from bresse import cli, discretize
+from bresse import cli, discretize, spectral
 from bresse.config import (
     ConfigError,
     auto_dt,
@@ -134,6 +134,9 @@ def test_auto_dt_formula():
     (lambda r: r["lambda_grid"].update(step=2), "lambda_grid holds"),
     (lambda r: r["lambda_grid"].update(spacing="linear"), "log spacing"),
     (lambda r: r["lambda_grid"].update(count=1), ">= 2"),
+    (lambda r: r["lambda_grid"].update(count=48.7), "count must be an integer"),
+    (lambda r: r["lambda_grid"].update(count="48"), "count must be an integer"),
+    (lambda r: r["lambda_grid"].update(count=True), "count must be an integer"),
     (lambda r: r["lambda_grid"].update(min=0.0), "must be positive"),
     (lambda r: r["lambda_grid"].update(max=0.5), "exceed min"),
 ])
@@ -242,6 +245,16 @@ def test_cli_dump_operators_refused_above_dense_cap(tmp_path, capsys, monkeypatc
     assert cli.main(["simulate", path, "--dump-operators"]) == 3
     assert "smaller n" in capsys.readouterr().err
     assert not [f for f in os.listdir(raw["outputs"]) if f.endswith(".mtx")]
+
+
+def test_cli_simulate_refused_above_dense_cap(tmp_path, capsys, monkeypatch):
+    """The initial state's dense half-size eigensolve is refused like A and M."""
+    monkeypatch.setattr(discretize, "DENSE_CAP", 20)  # DNN n = 8: half size 23
+    path, raw = write_cfg(tmp_path, n=8)
+    assert cli.main(["simulate", path]) == 3
+    assert "smaller n" in capsys.readouterr().err
+    for name in ("energy.csv", "report.json"):
+        assert not os.path.exists(os.path.join(raw["outputs"], name))
 
 
 def test_cli_singular_step_factor_exit_code(tmp_path, capsys, monkeypatch):
@@ -365,6 +378,21 @@ def test_sweep_continues_past_failing_point(tmp_path):
     assert bad[10].startswith("spectrum: ValueError: ")
 
 
+def test_sweep_hands_workers_to_every_scan(tmp_path, monkeypatch):
+    calls = []
+    scan_axis = spectral.scan_axis
+
+    def recording(system, lambdas, workers=None):
+        calls.append(workers)
+        return scan_axis(system, lambdas, workers=workers)
+
+    monkeypatch.setattr(spectral, "scan_axis", recording)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep_raw(tmp_path, {"params.b": [1.0, 2.0]})))
+    sweep_run(load_sweep(str(path)), workers=3)
+    assert calls == [3, 3]
+
+
 def test_sweep_validation():
     with pytest.raises(ConfigError, match="required"):
         load_sweep_from_dict({"base": {}, "outputs": "x"})
@@ -375,6 +403,10 @@ def test_sweep_validation():
     with pytest.raises(ConfigError, match="above the cap"):
         load_sweep_from_dict({"base": {}, "grid": {"n": [4, 5]},
                               "outputs": "x", "max_points": 1})
+    for max_points in (2.5, "256", True):
+        with pytest.raises(ConfigError, match="max_points must be an integer"):
+            load_sweep_from_dict({"base": {}, "grid": {"n": [4]},
+                                  "outputs": "x", "max_points": max_points})
 
 
 def load_sweep_from_dict(raw, tmp=None):

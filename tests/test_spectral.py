@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bresse import spectral
+from bresse import discretize, spectral
+from bresse.discretize import DenseSolverCapError
 from bresse.spectral import (
-    DenseSolverCapError,
     ResonantFrequencyError,
     default_axis_grid,
     eigenvalues,
@@ -131,6 +131,33 @@ def test_resolvent_matches_independent_oracle():
                 expected, rel=1e-12)
 
 
+def test_iterative_norm_needs_no_svd_fallback(monkeypatch):
+    """With the dense SVD made to raise, every iterative norm must come from
+    the inverse iteration alone and still match the oracle: to 1e-12 on log
+    grids of a DNN and a DDD system, and to Weyl's allowance at the
+    near-resonant point of the unequal-speed system, where the oracle itself
+    is only that exact."""
+    systems = [system_for(beam(), interval(), bc, 12) for bc in (DNN, DDD)]
+    grids = [(s, np.geomspace(0.5, scan_cap(s), 16)) for s in systems]
+    expected = [[oracle_resolvent_norm(system, lam) for lam in grid]
+                for system, grid in grids]
+    peaky = system_for(beam(kappa0=2.0), interval(), DNN, 50)
+    eig = eigenvalues(peaky)
+    band = eig[(eig.imag > 0) & (eig.imag <= scan_cap(peaky))]
+    lam = float(band[np.argmax(band.real)].imag)
+    sv = oracle_singular_values(peaky, lam)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD fallback taken")
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
+    for (system, grid), want in zip(grids, expected):
+        got = [resolvent_norm(system, lam) for lam in grid]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    tol = 1e-8 * sv[-1] + 16 * np.finfo(float).eps * sv[0]
+    assert abs(1.0 / resolvent_norm(peaky, lam) - sv[-1]) <= tol
+
+
 def test_resolvent_far_field_normal_dominance():
     """Far beyond the spectrum the norm must approach 1/distance."""
     for bc in (DNN, DDD):
@@ -156,13 +183,13 @@ def test_resonant_frequency_refused():
         resolvent_norm(system, lam)
 
 
-def test_dense_cap_enforced():
-    from bresse.discretize import assemble
-
-    fresh = assemble(beam(), interval(), DDD, 8)
+def test_dense_cap_enforced(monkeypatch):
+    fresh = discretize.assemble(beam(), interval(), DDD, 8)
+    monkeypatch.setattr(discretize, "DENSE_CAP", 10)
     with pytest.raises(DenseSolverCapError, match="smaller n"):
-        eigenvalues(fresh, cap=10)
-    assert eigenvalues(fresh, cap=fresh.dimension).size == fresh.dimension
+        eigenvalues(fresh)
+    monkeypatch.setattr(discretize, "DENSE_CAP", fresh.dimension)
+    assert eigenvalues(fresh).size == fresh.dimension
 
 
 def test_scan_axis_validation_and_single_point():
