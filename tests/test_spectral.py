@@ -51,7 +51,16 @@ def test_eigenvalues_match_dense_eig_oracle(bc, a0):
     assert gap <= 1e-12 * np.abs(theirs).max()
 
 
-def test_near_resonant_norm_matches_svd_oracle():
+@pytest.fixture
+def no_svd_fallback(monkeypatch):
+    """Make the dense SVD raise, so a norm can only come from the iteration."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD fallback taken")
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
+
+
+def test_near_resonant_norm_matches_svd_oracle(no_svd_fallback):
     """At the least-damped resolved mode of an unequal-speed system the
     smallest singular value is tiny; the iterative norm must still agree
     with the dense SVD up to Weyl's backward-error allowance."""
@@ -131,31 +140,15 @@ def test_resolvent_matches_independent_oracle():
                 expected, rel=1e-12)
 
 
-def test_iterative_norm_needs_no_svd_fallback(monkeypatch):
-    """With the dense SVD made to raise, every iterative norm must come from
-    the inverse iteration alone and still match the oracle: to 1e-12 on log
-    grids of a DNN and a DDD system, and to Weyl's allowance at the
-    near-resonant point of the unequal-speed system, where the oracle itself
-    is only that exact."""
-    systems = [system_for(beam(), interval(), bc, 12) for bc in (DNN, DDD)]
-    grids = [(s, np.geomspace(0.5, scan_cap(s), 16)) for s in systems]
-    expected = [[oracle_resolvent_norm(system, lam) for lam in grid]
-                for system, grid in grids]
-    peaky = system_for(beam(kappa0=2.0), interval(), DNN, 50)
-    eig = eigenvalues(peaky)
-    band = eig[(eig.imag > 0) & (eig.imag <= scan_cap(peaky))]
-    lam = float(band[np.argmax(band.real)].imag)
-    sv = oracle_singular_values(peaky, lam)
-
-    def no_svd(*args, **kwargs):
-        raise AssertionError("dense SVD fallback taken")
-
-    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
-    for (system, grid), want in zip(grids, expected):
+def test_iterative_norm_needs_no_svd_fallback(no_svd_fallback):
+    """Every iterative norm on log grids of a DNN and a DDD system comes from
+    the inverse iteration alone and matches the oracle to 1e-12."""
+    for bc in (DNN, DDD):
+        system = system_for(beam(), interval(), bc, 12)
+        grid = np.geomspace(0.5, scan_cap(system), 16)
         got = [resolvent_norm(system, lam) for lam in grid]
+        want = [oracle_resolvent_norm(system, lam) for lam in grid]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    tol = 1e-8 * sv[-1] + 16 * np.finfo(float).eps * sv[0]
-    assert abs(1.0 / resolvent_norm(peaky, lam) - sv[-1]) <= tol
 
 
 def test_resolvent_far_field_normal_dominance():
