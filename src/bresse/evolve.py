@@ -9,10 +9,10 @@ respected exactly: the discrete energy satisfies
 to rounding, where D is the damping quadrature, so undamped runs conserve
 energy and damped runs dissipate it monotonically at machine precision.
 
-``simulate`` converts its initial state to node coordinates once and runs
-the whole loop there: each step is one sparse solve, an in-place update of
-x = [q; p] and one sparse product that yields the next right-hand side
-together with the energy and dissipation of the new state.
+``simulate`` converts its initial state once to node coordinates, ordered
+node by node, and runs the whole loop there: each step is one banded solve,
+an in-place update of x = [q; p] and one sparse product that yields the next
+right-hand side together with the energy and dissipation of the new state.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import auto_dt
-from .discretize import DiscreteSystem
+from .discretize import FIELD_NAMES, DiscreteSystem
 
 
 class NumericalBlowupError(RuntimeError):
@@ -108,62 +108,73 @@ def make_initial(system: DiscreteSystem, spec: InitialData) -> np.ndarray:
 
 
 class MidpointStepper:
-    """Sparse-factored one-step map for a fixed step size.
+    """Banded-LU one-step map for a fixed step size.
 
-    The step runs on the node-level parts of the system: with nodal mass R,
-    damping C, stiffness K, the DNN border rows G and
+    With nodal mass R, damping C, stiffness K, the DNN border rows G and
     P = R + dt/2 C + dt^2/4 K, the new velocity solves
 
         [P    G] [p+]   [(2R - P) p - dt K q]
         [G^T  0] [ * ] = [         0         ],    q+ = q + dt/2 (p + p+),
 
-    which is the Cayley step of A written in node coordinates.  One stacked
-    sparse matrix ``rows`` maps x = [q; p] to that right-hand side followed
-    by the energy and damping roots of x, so one product per step serves
-    both the next solve and the energy monitor.  ``step`` takes and returns
-    reduced states, as vectors or as matrices of column states, real or
-    complex.
+    the Cayley step of A in node coordinates.  ``order`` puts the fields of
+    each node side by side, so P has half-bandwidth ``bandwidth`` = 5 at any
+    n; it gets one banded LU with partial pivoting (anti-damped, P is
+    indefinite), and block elimination with Z = P^-1 G removes the border.
+    ``rows`` maps x = [q; p] to the right-hand side and the energy and
+    damping roots of x.  ``step`` maps reduced vectors or columns, also complex.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
-        parts = system.parts
-        self.dt, self.system, self._nodes = dt, system, parts.mass.size
-        K, G = parts.stiffness, sp.csc_matrix(parts.border)
-        P = sp.diags(parts.mass + 0.5 * dt * parts.damping) + (0.25 * dt * dt) * K
-        try:  # minimum degree on the symmetric pattern keeps the fill near the band
-            self._lu = scipy.sparse.linalg.splu(sp.bmat([[P, G], [G.T, None]], format="csc"),
-                                                permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as err:
-            raise SingularStepError(f"step matrix at dt={dt:g} cannot be factored: {err}") from err
-        self._solve_rows = K.shape[0] + G.shape[1]
-        self._energy_stop = self._solve_rows + parts.energy_root.shape[0]
-        self.rows = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * parts.mass) - P]),
-                               sp.csr_matrix((G.shape[1], 2 * K.shape[0])),
-                               parts.energy_root, parts.damping_root], format="csr")
+        parts, nodes = system.parts, np.arange(system.grid.n + 1)
+        perm = np.argsort(np.concatenate([3 * (parts.embeddings[f].T @ nodes) + k
+                                          for k, f in enumerate(FIELD_NAMES[:3])]))
+        m = self._nodes = perm.size
+        self.dt, self.system, self.order = dt, system, np.concatenate([perm, m + perm])
+        self._unorder = np.argsort(self.order)
+        K, mass = parts.stiffness[perm][:, perm], parts.mass[perm]
+        P = (sp.diags(mass + 0.5 * dt * parts.damping[perm]) + (0.25 * dt * dt) * K).tocoo()
+        kl = self.bandwidth = int(np.abs(P.row - P.col).max(initial=0))
+        ab = np.zeros((3 * kl + 1, m))  # LAPACK band storage, kl rows of room for the pivots
+        ab[2 * kl + P.row - P.col, P.col] = P.data
+        lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
+        if info > 0:
+            raise SingularStepError(f"step matrix at dt={dt:g} is singular: zero pivot {info}")
+        self._solve = lambda b: dgbtrs(lu, kl, kl, b, piv)[0]
+        G, self._Z = parts.border[perm], None
+        if G.shape[1]:
+            self._Z = self._solve(G)
+            try:
+                self._W = np.linalg.solve(G.T @ self._Z, G.T)
+            except np.linalg.LinAlgError as err:
+                raise SingularStepError(f"border of the step at dt={dt:g} is singular") from err
+        self._energy_stop = m + parts.energy_root.shape[0]
+        self.rows = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * mass) - P]),
+                               parts.energy_root[:, self.order],
+                               parts.damping_root[:, self.order]], format="csr")
 
     def advance(self, x: np.ndarray, y: np.ndarray) -> None:
         """Step the node state x in place, given y = rows @ x."""
-        rhs = y[:self._solve_rows]
-        if np.iscomplexobj(rhs):
-            # real factors; solve the parts separately
-            sol = self._lu.solve(rhs.real) + 1j * self._lu.solve(rhs.imag)
-        else:
-            sol = self._lu.solve(rhs)
         m = self._nodes
-        x[:m] += (0.5 * self.dt) * (x[m:] + sol[:m])
-        x[m:] = sol[:m]
+        if np.iscomplexobj(y):  # real factors; solve the parts separately
+            sol = self._solve(y[:m].real) + 1j * self._solve(y[:m].imag)
+        else:
+            sol = self._solve(y[:m])
+        if self._Z is not None:
+            sol -= self._Z @ (self._W @ sol)
+        x[:m] += (0.5 * self.dt) * (x[m:] + sol)
+        x[m:] = sol
 
     def energy_and_damping_root(self, y: np.ndarray) -> tuple[float, np.ndarray]:
         """E of the state behind y = rows @ x, and g with D = |g|^2."""
-        e = y[self._solve_rows:self._energy_stop]
+        e = y[self._nodes:self._energy_stop]
         return 0.5 * float(e @ e), y[self._energy_stop:]
 
     def step(self, U: np.ndarray) -> np.ndarray:
-        x = self.system.node_state(U)
+        x = self.system.node_state(U)[self.order]
         self.advance(x, self.rows @ x)
-        return self.system.reduced_state(x)
+        return self.system.reduced_state(x[self._unorder])
 
 
 @dataclass
@@ -202,10 +213,9 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     if balance_mode not in defects:
         raise ValueError(f"unknown balance mode {balance_mode!r}")
     U = initial if isinstance(initial, np.ndarray) else make_initial(system, initial)
-    x = system.node_state(np.asarray(U, dtype=float))
-
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
+    x = system.node_state(np.asarray(U, dtype=float))[stepper.order]
     y = stepper.rows @ x
     E_prev, g_prev = stepper.energy_and_damping_root(y)
     if not E_prev > 0:

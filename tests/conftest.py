@@ -11,6 +11,9 @@ printed in a terminal section after the run so they survive output capture.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 
 from bresse.discretize import assemble
@@ -29,6 +32,17 @@ def beam(**overrides) -> BeamParameters:
 
 def interval(alpha=0.25, beta=0.75, a0=1.0, **kw) -> DampingProfile:
     return DampingProfile(alpha=alpha, beta=beta, a0=a0, **kw)
+
+
+def zeroed_step_parts(system):
+    """A shallow copy of system whose mass, damping and stiffness parts are
+    zero, so that its step matrix R + dt/2 C + dt^2/4 K is zero."""
+    parts = system.parts
+    singular = copy.copy(system)
+    singular.parts = dataclasses.replace(parts, mass=0.0 * parts.mass,
+                                         damping=0.0 * parts.damping,
+                                         stiffness=0.0 * parts.stiffness)
+    return singular
 
 
 _SYSTEMS: dict = {}

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
-import scipy.sparse.linalg
 
-from bresse import cli, discretize, spectral
+from bresse import cli, discretize, evolve, spectral
 from bresse.config import (
     ConfigError,
     auto_dt,
@@ -33,7 +32,7 @@ from bresse.runner import (
 )
 from bresse.plots import PlotInputError, emit_plots
 
-from conftest import UNIT
+from conftest import UNIT, zeroed_step_parts
 
 
 def base_raw(outputs="out", **overrides):
@@ -258,10 +257,14 @@ def test_cli_simulate_refused_above_dense_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_singular_step_factor_exit_code(tmp_path, capsys, monkeypatch):
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    """A step matrix that is truly singular (zero mass, damping and stiffness
+    parts, so P = 0) exits 3 and names the failure."""
+    init = evolve.MidpointStepper.__init__
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    def zeroed(self, system, dt):
+        init(self, zeroed_step_parts(system), dt)
+
+    monkeypatch.setattr(evolve.MidpointStepper, "__init__", zeroed)
     path, _ = write_cfg(tmp_path, n=8, T=0.5)
     assert cli.main(["simulate", path]) == 3
     assert "singular" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from bresse.evolve import (
     Modal,
     NumericalBlowupError,
     RandomSmooth,
+    SingularStepError,
     default_dt,
     energy_balance_residual,
     make_initial,
@@ -22,7 +23,7 @@ from bresse.evolve import (
 from bresse import discretize
 from bresse.discretize import assemble
 
-from conftest import DDD, DNN, beam, interval, system_for
+from conftest import DDD, DNN, beam, interval, system_for, zeroed_step_parts
 
 
 def _anti_damped(a0):
@@ -120,6 +121,47 @@ def test_simulate_matches_dense_cayley_trajectory(bc):
     assert series.times.size == steps + 1
     assert np.abs(series.energy - energy).max() <= 1e-12 * E0
     assert np.abs(series.dissipation - dissipation).max() <= 1e-12 * E0
+
+
+def test_step_pivots_on_indefinite_step_matrix():
+    """With the damping sign flipped at a0 = 30 and dt = 0.1, the psi diagonal
+    of P = R + dt/2 C + dt^2/4 K is negative, so P is indefinite: only a
+    pivoted factorization steps this system.  The step must still equal the
+    dense Cayley map on real and complex vectors and matrices of columns,
+    relative to the largest entry of the amplified result."""
+    system, dt = _anti_damped(30.0), 0.1
+    stepper = MidpointStepper(system, dt)
+    rng = np.random.default_rng(5)
+    for shape in ((system.dimension,), (system.dimension, 3)):
+        real = rng.standard_normal(shape)
+        for U in (real, real + 1j * rng.standard_normal(shape)):
+            expected = _dense_cayley(system, dt, U)
+            got = stepper.step(U)
+            assert got.shape == U.shape and got.dtype == U.dtype
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_step_band_is_mesh_independent(bc):
+    """Storing the three fields of each node side by side bounds the coupling
+    of neighbouring nodes to 5 positions, whatever n; a field-blocked order
+    would give a band of about n."""
+    for n in (8, 100, 400):
+        system = assemble(beam(), interval(), bc, n)
+        assert MidpointStepper(system, default_dt(system)).bandwidth == 5
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_singular_step_matrix_raises(bc):
+    """A zero step matrix has a zero pivot, and a zero DNN border G leaves
+    the 2 x 2 matrix G^T P^-1 G zero: both raise SingularStepError."""
+    system = assemble(beam(), interval(), bc, 8)
+    with pytest.raises(SingularStepError, match="singular"):
+        MidpointStepper(zeroed_step_parts(system), 0.01)
+    if bc is DNN:
+        system.parts = dataclasses.replace(system.parts, border=0.0 * system.parts.border)
+        with pytest.raises(SingularStepError, match="border"):
+            MidpointStepper(system, 0.01)
 
 
 def test_undamped_energy_conserved():
