@@ -26,15 +26,14 @@ nodes but are restricted to the mean-zero subspace of the trapezoid inner
 product, which removes the rigid constant mode that otherwise makes the
 energy degenerate.
 
-Two coordinate systems describe one state.  The node coordinates hold the
-stored node values of each field; there the stiffness K = S^T W S, the
-nodal mass, the damping quadrature and the square roots of the energy and
-the dissipation are sparse, and the DNN mean-zero constraints are two border
-rows.  Time stepping runs in these coordinates.  The reduced coordinates,
-the public state of the package, expand the DNN fields in an orthonormal
-basis of the mean-zero subspace built from one Householder reflector, so
-to_nodes and to_reduced convert states in O(n); the dense generator A and
-energy Gram M of the reduced coordinates are built only on request.
+Two coordinate systems describe one state.  In node coordinates, the stored
+node values of each field, K = S^T W S, the nodal mass, the damping and the
+energy and dissipation roots are sparse, banded in node order (node_band),
+and the DNN mean-zero constraints are two border rows; time stepping and
+resolvent scans run there.  The reduced coordinates, the public state,
+expand the DNN fields in an orthonormal mean-zero basis built from one
+Householder reflector, so to_nodes and to_reduced convert states in O(n);
+the dense generator A and energy Gram M are built only on request.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .model import (
@@ -242,6 +242,54 @@ def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
     return Y.reshape(Y.shape[:1] + x.shape[1:])
 
 
+def node_band(parts: NodeParts) -> tuple[np.ndarray, sp.csc_matrix, np.ndarray, int]:
+    """Node-interleaved order of a half-state (key node*3 + field), K in that
+    order, and K in LAPACK band storage with its half-bandwidth kl, 5 at any n."""
+    nodes = np.arange(parts.embeddings["phi"].shape[0])
+    perm = np.argsort(np.concatenate([3 * (parts.embeddings[f].T @ nodes) + k
+                                      for k, f in enumerate(FIELD_NAMES[:3])]))
+    K = parts.stiffness[perm][:, perm]
+    coo = K.tocoo()
+    kl = int(np.abs(coo.row - coo.col).max(initial=0))
+    band = np.zeros((2 * kl + 1, perm.size))
+    band[kl + coo.row - coo.col, coo.col] = coo.data
+    return perm, K, band, kl
+
+
+def bordered_band_solver(band: np.ndarray, kl: int, border: np.ndarray, diagonal: np.ndarray):
+    """solve(b, adjoint=False) for [P G; G^T 0] [x; *] = [b; 0], P = band +
+    diag(diagonal) symmetric or complex symmetric, G real border columns: one
+    LU with partial pivoting (gbtrf), the border by block elimination with
+    Z = P^-1 G, reused as conj(Z) for P^H = conj(P).  A zero pivot or a
+    singular G^T Z raises LinAlgError."""
+    ab = np.zeros((3 * kl + 1, band.shape[1]), dtype=np.result_type(band, diagonal))
+    ab[kl:] = band  # the top kl rows are room for the pivots
+    ab[2 * kl] += diagonal
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zero pivot {info}")
+    corrections = None
+    if border.shape[1]:
+        Z = gbtrs(lu, kl, kl, border, piv)[0]
+        try:
+            W = np.linalg.solve(border.T @ Z, border.T)
+        except np.linalg.LinAlgError as err:
+            raise np.linalg.LinAlgError("border G^T P^-1 G is singular") from err
+        corrections = (Z, W), (Z.conj(), W.conj())
+
+    def solve(b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        if ab.dtype.kind == "f" and b.dtype.kind == "c":  # real factors: solve the parts apart
+            x = gbtrs(lu, kl, kl, b.real, piv)[0] + 1j * gbtrs(lu, kl, kl, b.imag, piv)[0]
+        else:
+            x = gbtrs(lu, kl, kl, b, piv, trans=2 if adjoint else 0)[0]
+        if corrections is not None:
+            Z, W = corrections[adjoint]
+            x -= Z @ (W @ x)
+        return x
+    return solve
+
+
 def _check_cap(dim: int) -> None:
     if dim > DENSE_CAP:
         raise DenseSolverCapError(
@@ -268,7 +316,7 @@ class DiscreteSystem:
         self.parts = parts
         self.slices = slices
         self.velocity_mass = velocity_mass
-        self.schur = None  # spectral's Schur factors, built on first use
+        self.spectrum = None  # spectral's eigenvalues, computed on first use
         self._half = slices["omega"].stop
 
     @property

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .config import auto_dt
-from .discretize import FIELD_NAMES, DiscreteSystem
+from .discretize import DiscreteSystem, bordered_band_solver, node_band
 
 
 class NumericalBlowupError(RuntimeError):
@@ -116,10 +115,9 @@ class MidpointStepper:
         [P    G] [p+]   [(2R - P) p - dt K q]
         [G^T  0] [ * ] = [         0         ],    q+ = q + dt/2 (p + p+),
 
-    the Cayley step of A in node coordinates.  ``order`` puts the fields of
-    each node side by side, so P has half-bandwidth ``bandwidth`` = 5 at any
-    n; it gets one banded LU with partial pivoting (anti-damped, P is
-    indefinite), and block elimination with Z = P^-1 G removes the border.
+    the Cayley step of A in node coordinates.  In the node order of
+    ``node_band`` P has half-bandwidth 5 at any n; ``bordered_band_solver``
+    pivots (anti-damped, P is indefinite) and eliminates the border.
     ``rows`` maps x = [q; p] to the right-hand side and the energy and
     damping roots of x.  ``step`` maps reduced vectors or columns, also complex.
     """
@@ -127,28 +125,18 @@ class MidpointStepper:
     def __init__(self, system: DiscreteSystem, dt: float):
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
-        parts, nodes = system.parts, np.arange(system.grid.n + 1)
-        perm = np.argsort(np.concatenate([3 * (parts.embeddings[f].T @ nodes) + k
-                                          for k, f in enumerate(FIELD_NAMES[:3])]))
+        parts = system.parts
+        perm, K, band, self.bandwidth = node_band(parts)
         m = self._nodes = perm.size
         self.dt, self.system, self.order = dt, system, np.concatenate([perm, m + perm])
         self._unorder = np.argsort(self.order)
-        K, mass = parts.stiffness[perm][:, perm], parts.mass[perm]
-        P = (sp.diags(mass + 0.5 * dt * parts.damping[perm]) + (0.25 * dt * dt) * K).tocoo()
-        kl = self.bandwidth = int(np.abs(P.row - P.col).max(initial=0))
-        ab = np.zeros((3 * kl + 1, m))  # LAPACK band storage, kl rows of room for the pivots
-        ab[2 * kl + P.row - P.col, P.col] = P.data
-        lu, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
-        if info > 0:
-            raise SingularStepError(f"step matrix at dt={dt:g} is singular: zero pivot {info}")
-        self._solve = lambda b: dgbtrs(lu, kl, kl, b, piv)[0]
-        G, self._Z = parts.border[perm], None
-        if G.shape[1]:
-            self._Z = self._solve(G)
-            try:
-                self._W = np.linalg.solve(G.T @ self._Z, G.T)
-            except np.linalg.LinAlgError as err:
-                raise SingularStepError(f"border of the step at dt={dt:g} is singular") from err
+        mass, diagonal = parts.mass[perm], parts.mass[perm] + 0.5 * dt * parts.damping[perm]
+        P = sp.diags(diagonal) + (0.25 * dt * dt) * K
+        try:
+            self._solve = bordered_band_solver((0.25 * dt * dt) * band, self.bandwidth,
+                                               parts.border[perm], diagonal)
+        except np.linalg.LinAlgError as err:
+            raise SingularStepError(f"step matrix at dt={dt:g} is singular: {err}") from err
         self._energy_stop = m + parts.energy_root.shape[0]
         self.rows = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * mass) - P]),
                                parts.energy_root[:, self.order],
@@ -157,12 +145,7 @@ class MidpointStepper:
     def advance(self, x: np.ndarray, y: np.ndarray) -> None:
         """Step the node state x in place, given y = rows @ x."""
         m = self._nodes
-        if np.iscomplexobj(y):  # real factors; solve the parts separately
-            sol = self._solve(y[:m].real) + 1j * self._solve(y[:m].imag)
-        else:
-            sol = self._solve(y[:m])
-        if self._Z is not None:
-            sol -= self._Z @ (self._W @ sol)
+        sol = self._solve(y[:m])
         x[:m] += (0.5 * self.dt) * (x[m:] + sol)
         x[m:] = sol
 

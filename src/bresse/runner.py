@@ -170,6 +170,10 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False,
         lg = cfg.lambda_grid
         grid = spectral.default_axis_grid(system, lam_min=lg.min, lam_max=lg.max,
                                           count=lg.count, eigs=eigs)
+        skipped = spectral.on_axis(system, eigs) & (eigs.imag >= grid[0]) & (eigs.imag <= grid[-1])
+        if skipped.any():
+            summary["notes"].append(f"peak insertion skipped {skipped.sum()} eigenvalue(s) "
+                                    "on the axis to the resonance floor")
         scan = spectral.scan_axis(system, grid, workers=workers)
         summary["scan"] = {
             "lambda_min": float(grid[0]),

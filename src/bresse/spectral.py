@@ -1,12 +1,11 @@
 """Frequency-domain measurements: spectrum and resolvent growth.
 
-The resolvent norm is taken in the energy inner product: with M = F^T F the
-Cholesky split, r(lam) = 1 / sigma_min(F (i lam I - A) F^{-1}).  The weighted
-matrix F A F^{-1} gets one real Schur factorization per system: its eigenvalues
-are the spectrum, and its complex triangular form serves the scan, since
-unitary similarity leaves singular values untouched and each frequency then
-costs two triangular solves per inverse-iteration step.  A dense SVD route is
-kept both as a cross-check and as the fallback when the iteration stalls.
+The spectrum comes from one dense real Schur factorization of F A F^{-1}
+(M = F^T F).  Energy-norm resolvents build no dense matrix: (i lam - A) U = f
+is Q q = R f_p + (i lam R + C) f_q, p = i lam q - f_q, with Q = K - lam^2 R
++ i lam C banded in node order, one LU per frequency.  The energy adjoint
+-(i lam - A~)^{-1} (A~: damping -C) reuses it with Q^H, Q being complex
+symmetric, and Lanczos on S* S, S the resolvent, gives the norm squared.
 """
 
 from __future__ import annotations
@@ -17,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 import scipy.special
 
+from .discretize import bordered_band_solver, node_band
+
 RESONANCE_RTOL = 1e-14
+LANCZOS_RTOL = 1e-10     # Ritz residual over Ritz value at convergence
+LANCZOS_MAXITER = 300
 BINS_PER_DECADE = 16  # log bins for peak insertion and the growth-fit envelope
 
 
@@ -28,11 +30,8 @@ class ResonantFrequencyError(RuntimeError):
     """Requested frequency is numerically on the spectrum."""
 
     def __init__(self, lam: float, sigma_min: float):
-        super().__init__(
-            f"i*{lam:g} is numerically an eigenvalue (sigma_min={sigma_min:.3e}); "
-            "the resolvent norm is unbounded there")
-        self.lam = lam
-        self.sigma_min = sigma_min
+        super().__init__(f"i*{lam:g} is numerically an eigenvalue (sigma_min={sigma_min:.3e}); "
+                         "the resolvent norm is unbounded there")
 
 
 def thread_count(requested: int | None = None) -> int:
@@ -55,8 +54,22 @@ def thread_count(requested: int | None = None) -> int:
 
 
 def eigenvalues(system) -> np.ndarray:
-    """Full spectrum of the generator, sorted by imaginary part."""
-    return _schur_factors(system).eigenvalues
+    """Full spectrum of the generator, sorted by imaginary part, cached."""
+    if system.spectrum is None:
+        # system.M refuses a dimension above DENSE_CAP before allocating
+        F = scipy.linalg.cholesky(system.M)          # M = F^T F, F upper
+        X = F @ system.A
+        # right-multiply by F^{-1} through a transposed triangular solve
+        Atil = scipy.linalg.solve_triangular(F, X.T, trans="T", lower=False).T
+        gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
+        # optimal workspace, as schur() queries it: the default minimum is slower
+        lwork = int(gees(lambda re, im: None, Atil, lwork=-1)[-2][0].real)
+        _, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError(f"real Schur factorization failed (info={info})")
+        vals = wr + 1j * wi
+        system.spectrum = vals[np.lexsort((vals.real, vals.imag))]
+    return system.spectrum
 
 
 def spectral_abscissa(system, guard: bool = True) -> float:
@@ -76,78 +89,83 @@ def spectral_abscissa(system, guard: bool = True) -> float:
     return float(np.max(vals.real))
 
 
-@dataclass
-class _SchurFactors:
-    T: np.ndarray            # complex upper triangular, Fortran order, unitarily similar to F A F^-1
-    eigenvalues: np.ndarray  # from the real Schur form: exact conjugate pairs, sorted by Im
-    scale: float             # norm proxy used by the resonance guard
+def resonance_floor(system, lam):
+    """sigma_min(i lam - A) at or below which i lam counts as an eigenvalue:
+    RESONANCE_RTOL (|lam| + w), w = sqrt(max_i sum_j |K_ij| / R_i) bounding
+    the frequencies by Gershgorin."""
+    rows = np.asarray(abs(system.parts.stiffness).sum(axis=1)).ravel() / system.parts.mass
+    return RESONANCE_RTOL * np.abs(lam) + RESONANCE_RTOL * np.sqrt(np.max(rows))
 
 
-def _schur_factors(system) -> _SchurFactors:
-    if system.schur is None:
-        # system.M refuses a dimension above DENSE_CAP before allocating
-        F = scipy.linalg.cholesky(system.M)          # M = F^T F, F upper
-        X = F @ system.A
-        # right-multiply by F^{-1} through a transposed triangular solve
-        Atil = scipy.linalg.solve_triangular(F, X.T, trans="T", lower=False).T
-        gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
-        # optimal workspace, as schur() queries it: the default minimum is slower
-        lwork = int(gees(lambda re, im: None, Atil, lwork=-1)[-2][0].real)
-        T, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork)
-        if info:
-            raise np.linalg.LinAlgError(f"real Schur factorization failed (info={info})")
-        # singular values are unitarily invariant: rsf2csf gets dummy Schur vectors
-        T, _ = scipy.linalg.rsf2csf(T, np.zeros_like(T))
-        vals = wr + 1j * wi
-        order = np.lexsort((vals.real, vals.imag))
-        system.schur = _SchurFactors(T=np.asfortranarray(T), eigenvalues=vals[order],
-                                     scale=float(np.linalg.norm(T, 1)))
-    return system.schur
+def on_axis(system, eigs: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues with |Re| at or below the resonance floor."""
+    return np.abs(eigs.real) <= resonance_floor(system, eigs.imag)
 
 
-def _sigma_min_triangular(T1: np.ndarray) -> float:
-    """Smallest singular value of an upper-triangular matrix by inverse
-    iteration on (T1^H T1)^{-1} with a fixed start vector.  T1 is Fortran
-    ordered, so LAPACK's trtrs solves with it in place."""
-    d = T1.shape[0]
-    trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (T1,))
+def _axis_resolvent(system):
+    """norm(lam), the energy-norm resolvent at i lam.  States x = [q; p] hold
+    both halves in node order; the energy product is x_q^H K y_q + x_p^H R y_p."""
+    parts, (perm, K, band, kl) = system.parts, node_band(system.parts)
+    R, C, G, m = parts.mass[perm], parts.damping[perm], parts.border[perm], perm.size
+    start = system.node_state(np.random.default_rng(0).standard_normal(system.dimension))
+    start = start[np.concatenate([perm, m + perm])]  # fixed and generic: misses no symmetry class
+    gram = lambda x: np.concatenate([K @ x[:m], R * x[m:]])  # noqa: E731
+    floor = resonance_floor(system, 0.0)
 
-    def solve_normal(x):  # resolvent_norm's guard keeps T1's diagonal nonzero
-        return trtrs(T1, trtrs(T1, x, trans=2)[0])[0]
+    def norm(lam: float) -> float:
+        il = 1j * lam
+        try:
+            lu_solve = bordered_band_solver(band, kl, G, il * (il * R + C))
+        except np.linalg.LinAlgError:
+            raise ResonantFrequencyError(lam, 0.0) from None
 
-    op = scipy.sparse.linalg.LinearOperator((d, d), matvec=solve_normal, dtype=complex)
-    v0 = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-    try:
-        theta = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=0,
-                                          return_eigenvectors=False)
-        return float(1.0 / np.sqrt(theta[0]))
-    except (scipy.sparse.linalg.ArpackError, scipy.sparse.linalg.ArpackNoConvergence,
-            FloatingPointError, ValueError):
-        return float(scipy.linalg.svdvals(T1)[-1])
+        def solve(v, adjoint):  # (i lam - A)^-1 v, or (i lam - A~)^-1 v if adjoint
+            q = lu_solve(R * v[m:] + (il * R + (-C if adjoint else C)) * v[:m], adjoint)
+            return np.concatenate([q, il * q - v[:m]])
+
+        theta = _lanczos_top(lambda v: -solve(solve(v, False), True), gram, start)
+        sigma = 1.0 / np.sqrt(theta)  # 0 for an overflowing, resonant solve
+        if not sigma > RESONANCE_RTOL * abs(lam) + floor:  # resonance_floor(system, lam)
+            raise ResonantFrequencyError(lam, sigma)
+        return float(np.sqrt(theta))
+    return norm
+
+
+def _lanczos_top(apply, gram, start) -> float:
+    """Largest eigenvalue of an operator self-adjoint and positive in x^H gram(y),
+    by Lanczos with full reorthogonalization; LinAlgError if it does not converge."""
+    V, GVc = np.empty((2, LANCZOS_MAXITER, start.size), dtype=complex)  # GVc: conj(gram(V))
+    w, Gw, alpha = start, gram(start), []
+    beta = [np.sqrt(np.vdot(w, Gw).real)]
+    for j in range(LANCZOS_MAXITER):
+        V[j], GVc[j] = w / beta[-1], Gw.conj() / beta[-1]
+        w = apply(V[j])
+        h = GVc[:j + 1] @ w
+        w -= h @ V[:j + 1]
+        w -= (GVc[:j + 1] @ w) @ V[:j + 1]  # twice is enough
+        Gw = gram(w)
+        alpha.append(h[j].real)
+        beta.append(np.sqrt(max(np.vdot(w, Gw).real, 0.0)))
+        if not np.isfinite(beta[-1]):  # an overflow in w reaches beta
+            return np.inf
+        vals, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta[1:-1], check_finite=False)
+        if beta[-1] * abs(vecs[-1, -1]) <= LANCZOS_RTOL * vals[-1]:
+            return float(vals[-1])
+    raise np.linalg.LinAlgError(f"resolvent Lanczos did not converge in {LANCZOS_MAXITER} steps")
 
 
 def resolvent_norm(system, lam: float, method: str = "iterative") -> float:
-    """Energy-weighted resolvent norm at the axis point i*lam.
-
-    method "iterative" uses inverse iteration on the triangular factor;
-    "svd" computes all singular values densely.  Both raise
-    ResonantFrequencyError when i*lam sits on the spectrum to rounding.
-    """
-    if method not in ("iterative", "svd"):
+    """Energy-weighted resolvent norm at i*lam, by the banded route or, with
+    method "svd", from the dense singular values of F (i lam - A) F^-1.
+    Both raise ResonantFrequencyError when i*lam is on the spectrum."""
+    if method == "iterative":
+        return _axis_resolvent(system)(lam)
+    if method != "svd":
         raise ValueError(f"unknown method {method!r}")
-    fac = _schur_factors(system)
-    d = fac.T.shape[0]
-    T1 = -fac.T                     # a Fortran-ordered copy, shifted in place
-    T1.flat[::d + 1] += 1j * lam
-    floor = RESONANCE_RTOL * (abs(lam) + fac.scale)
-    gap = float(np.min(np.abs(np.diag(T1))))  # a triangular T1 has sigma_min <= gap
-    if gap <= floor:
-        raise ResonantFrequencyError(lam, gap)
-    if method == "svd":
-        sigma = float(scipy.linalg.svdvals(T1)[-1])
-    else:
-        sigma = _sigma_min_triangular(T1)
-    if sigma <= floor:
+    F = scipy.linalg.cholesky(system.M)
+    W = F @ (1j * lam * np.eye(system.dimension) - system.A) @ np.linalg.inv(F)
+    sigma = float(scipy.linalg.svdvals(W)[-1])
+    if not sigma > resonance_floor(system, lam):
         raise ResonantFrequencyError(lam, sigma)
     return 1.0 / sigma
 
@@ -158,37 +176,29 @@ class AxisScan:
     norms: np.ndarray
 
     @property
-    def peak_index(self) -> int:
-        return int(np.argmax(self.norms))
-
-    @property
     def peak_lambda(self) -> float:
-        return float(self.lambdas[self.peak_index])
+        return float(self.lambdas[np.argmax(self.norms)])
 
     @property
     def peak_norm(self) -> float:
-        return float(self.norms[self.peak_index])
+        return float(np.max(self.norms))
 
 
 def scan_axis(system, lambdas, workers: int | None = None) -> AxisScan:
-    """Resolvent norms over an increasing grid of positive frequencies.
-
-    Each frequency is independent of the others; they are evaluated on a
-    thread pool (LAPACK releases the interpreter lock) and returned in
-    grid order.
-    """
+    """Resolvent norms over an increasing grid of positive frequencies, in
+    grid order; with more than one worker, on a thread pool."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-d array")
     if np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
         raise ValueError("frequency grid must be positive and strictly increasing")
-    _schur_factors(system)  # build once before fanning out
+    norm = _axis_resolvent(system)
     n_workers = min(thread_count(workers), lambdas.size)
     if n_workers == 1:
-        norms = [resolvent_norm(system, lam) for lam in lambdas]
+        norms = [norm(lam) for lam in lambdas]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            norms = list(pool.map(lambda lam: resolvent_norm(system, lam), lambdas))
+            norms = list(pool.map(norm, lambdas))
     return AxisScan(lambdas=lambdas, norms=np.asarray(norms))
 
 
@@ -211,25 +221,20 @@ def default_axis_grid(system, lam_min: float = 1.0, lam_max: float | None = None
 
     A plain log grid steps over the O(1/|Re|) wide peaks that carry the
     sup-axis growth, so when the spectrum is available the least-damped
-    eigenfrequency of every log bin is inserted into the grid.
+    eigenfrequency of every log bin is inserted into the grid.  Eigenvalues
+    that ``on_axis`` flags are skipped: the scan would refuse them.
     """
     cap = scan_cap(system)
     lam_max = cap if lam_max is None else min(float(lam_max), cap)
     if not 0 < lam_min < lam_max:
         raise ValueError(f"need 0 < lam_min < lam_max, got [{lam_min}, {lam_max}]")
     grid = np.geomspace(lam_min, lam_max, count)
-    if eigs is not None and len(eigs):
-        freqs = eigs.imag
-        keep = (freqs >= lam_min) & (freqs <= lam_max)
-        if np.any(keep):
-            freqs = freqs[keep]
-            damp = np.abs(eigs.real[keep])
-            bins = np.floor(np.log10(freqs / lam_min) * BINS_PER_DECADE).astype(int)
-            peaks = []
-            for b in np.unique(bins):
-                sel = bins == b
-                peaks.append(freqs[sel][np.argmin(damp[sel])])
-            grid = np.unique(np.concatenate([grid, peaks]))
+    if eigs is not None:
+        keep = (eigs.imag >= lam_min) & (eigs.imag <= lam_max) & ~on_axis(system, eigs)
+        freqs, damp = eigs.imag[keep], np.abs(eigs.real[keep])
+        bins = np.floor(np.log10(freqs / lam_min) * BINS_PER_DECADE).astype(int)
+        peaks = [freqs[bins == b][np.argmin(damp[bins == b])] for b in np.unique(bins)]
+        grid = np.unique(np.concatenate([grid, peaks]))
     return grid
 
 

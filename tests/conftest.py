@@ -1,9 +1,10 @@
 """Shared helpers: cached assembled systems and the acceptance scoreboard.
 
-Dense eigen and Schur factorizations dominate the suite's runtime, so every
-assembled system is cached for the whole session and shared read-only across
-test modules (assembly is deterministic and DiscreteSystem instances carry
-their factorization caches with them).  Axis scans are cached the same way.
+Dense eigen solves (the Schur spectrum and the eig oracles) dominate the
+suite's runtime, so every assembled system is cached for the whole session
+and shared read-only across test modules (assembly is deterministic and
+DiscreteSystem instances carry their spectrum and dense A and M with them).
+Axis scans, banded and dense-free, are cached the same way.
 
 Acceptance tests register one verdict line per criterion; the lines are
 printed in a terminal section after the run so they survive output capture.

@@ -280,6 +280,26 @@ def test_cli_failed_cholesky_exit_code(tmp_path, capsys, monkeypatch):
     assert "positive definite" in capsys.readouterr().err
 
 
+def test_cli_unconverged_lanczos_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "LANCZOS_MAXITER", 1)
+    path, _ = write_cfg(tmp_path, n=8)
+    assert cli.main(["spectrum", path]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_spectrum_skips_peaks_on_the_resonance_floor(tmp_path, monkeypatch):
+    """Raised to 5e-10, the resonance floor covers the two least-damped
+    in-band eigenvalues of DNN kappa0 = 2 at n = 50; peak insertion must
+    leave them out, so that the scan does not refuse its own grid, and the
+    summary must say so."""
+    monkeypatch.setattr(spectral, "RESONANCE_RTOL", 5e-10)
+    path, _ = write_cfg(tmp_path, n=50, params={"kappa0": 2.0})
+    summary = spectrum_run(load_config(path), workers=1)
+    assert summary["alpha_fit"] is not None
+    assert ("peak insertion skipped 2 eigenvalue(s) on the axis to the resonance floor"
+            in summary["notes"])
+
+
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
 def test_cli_bad_thread_env_exit_code(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("BRESSE_THREADS", "abc")

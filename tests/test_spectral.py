@@ -2,7 +2,8 @@
 
 The resolvent oracle below computes the energy-weighted smallest singular
 value directly from the definition (dense Cholesky, explicit inverse, full
-SVD) and shares no code with the production path.
+SVD) and shares no code with the production path, which is the banded
+half-size route and builds no dense matrix.
 """
 
 import numpy as np
@@ -60,11 +61,11 @@ def no_svd_fallback(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
 
 
-def test_near_resonant_norm_matches_svd_oracle(no_svd_fallback):
+def check_near_resonant_norm(bc):
     """At the least-damped resolved mode of an unequal-speed system the
     smallest singular value is tiny; the iterative norm must still agree
     with the dense SVD up to Weyl's backward-error allowance."""
-    system = system_for(beam(kappa0=2.0), interval(), DNN, 50)
+    system = system_for(beam(kappa0=2.0), interval(), bc, 50)
     eig = eigenvalues(system)
     band = eig[(eig.imag > 0) & (eig.imag <= scan_cap(system))]
     lam = float(band[np.argmax(band.real)].imag)
@@ -72,6 +73,14 @@ def test_near_resonant_norm_matches_svd_oracle(no_svd_fallback):
     assert sv[-1] <= 1e-6 * sv[0]  # genuinely near the spectrum
     tol = 1e-8 * sv[-1] + 16 * np.finfo(float).eps * sv[0]
     assert abs(1.0 / resolvent_norm(system, lam) - sv[-1]) <= tol
+
+
+def test_near_resonant_norm_matches_svd_oracle(no_svd_fallback):
+    check_near_resonant_norm(DNN)
+
+
+def test_near_resonant_norm_matches_svd_oracle_ddd(no_svd_fallback):
+    check_near_resonant_norm(DDD)
 
 
 def test_eigenvalues_sorted_and_cached():
@@ -142,13 +151,38 @@ def test_resolvent_matches_independent_oracle():
 
 def test_iterative_norm_needs_no_svd_fallback(no_svd_fallback):
     """Every iterative norm on log grids of a DNN and a DDD system comes from
-    the inverse iteration alone and matches the oracle to 1e-12."""
+    the Lanczos iteration alone and matches the oracle to 1e-12."""
     for bc in (DNN, DDD):
         system = system_for(beam(), interval(), bc, 12)
         grid = np.geomspace(0.5, scan_cap(system), 16)
         got = [resolvent_norm(system, lam) for lam in grid]
         want = [oracle_resolvent_norm(system, lam) for lam in grid]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_scan_builds_no_dense_matrix(monkeypatch, bc):
+    """With the dense cap at zero, so that A, M and every dense half-size
+    block refuse to build, a scan of a fresh system still matches the
+    oracle computed under the real cap."""
+    params = beam(kappa0=2.0)
+    grid = np.geomspace(0.5, scan_cap(system_for(params, interval(), bc, 12)), 16)
+    want = [oracle_resolvent_norm(system_for(params, interval(), bc, 12), lam)
+            for lam in grid]
+    fresh = discretize.assemble(params, interval(), bc, 12)
+    monkeypatch.setattr(discretize, "DENSE_CAP", 0)
+    with pytest.raises(DenseSolverCapError):
+        fresh.A
+    np.testing.assert_allclose(scan_axis(fresh, grid).norms, want, rtol=1e-12, atol=0)
+
+
+def test_lanczos_stopped_early_raises(monkeypatch):
+    """A Lanczos run cut off before it converges is a numerical failure,
+    not a silently wrong norm."""
+    system = system_for(beam(), interval(), DNN, 12)
+    monkeypatch.setattr(spectral, "LANCZOS_MAXITER", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        resolvent_norm(system, 3.3)
 
 
 def test_resolvent_far_field_normal_dominance():
