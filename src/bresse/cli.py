@@ -17,7 +17,7 @@ from .discretize import AdmissibilityError, DenseSolverCapError
 from .evolve import EnergyMonotonicityError, NumericalBlowupError, SingularStepError
 from .plots import PlotInputError, emit_plots
 from .runner import simulate_run, spectrum_run, sweep_run
-from .spectral import ResonantFrequencyError, thread_count
+from .spectral import ResonantFrequencyError
 
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, PlotInputError, ValueError)
 # LinAlgError subclasses ValueError, so this tuple is tried first
@@ -56,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("-o", "--outputs", help="override the output directory")
     spec.add_argument("--dump-operators", action="store_true",
                       help="also write A.mtx and M.mtx (Matrix Market)")
-    spec.add_argument("--workers", type=int, default=None,
-                      help="scan threads (default: BRESSE_THREADS or cpu count)")
+    spec.add_argument("--workers", type=int, default=1,
+                      help="accepted and ignored: the scan runs in one thread (N >= 1)")
 
     swp = sub.add_parser("sweep", help="run a parameter grid and write atlas.csv")
     _config_arg(swp, "sweep")
-    swp.add_argument("--workers", type=int, default=None,
-                     help="scan threads per point (default: BRESSE_THREADS or cpu count)")
+    swp.add_argument("--workers", type=int, default=1,
+                     help="accepted and ignored: points and scans run in one thread (N >= 1)")
 
     plt = sub.add_parser("plots", help="emit gnuplot scripts into a run directory")
     plt.add_argument("directory", help="directory holding the run CSV files")
@@ -79,21 +79,20 @@ def _load(args):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("spectrum", "sweep"):
-            thread_count(args.workers)  # refuse a bad worker count before any work
+        if args.command in ("spectrum", "sweep") and args.workers < 1:
+            raise ValueError(f"worker count must be a positive integer, got {args.workers}")
         if args.command == "simulate":
             report = simulate_run(_load(args), dump_operators=args.dump_operators)
             print(f"wrote {report['config_id'][:12]} -> {args.outputs or report['config']['outputs']}")
         elif args.command == "spectrum":
             cfg = _load(args)
-            summary = spectrum_run(cfg, dump_operators=args.dump_operators,
-                                   workers=args.workers)
+            summary = spectrum_run(cfg, dump_operators=args.dump_operators)
             if summary["flag"]:
                 print(f"flag: {summary['flag']}")
             print(f"spectral abscissa {summary['spectral_abscissa']:.6e}"
                   + (f", alpha {summary['alpha_fit']:.3f}" if summary["alpha_fit"] is not None else ""))
         elif args.command == "sweep":
-            atlas = sweep_run(load_sweep(_config_path(args, "sweep")), workers=args.workers)
+            atlas = sweep_run(load_sweep(_config_path(args, "sweep")))
             print(f"wrote {atlas}")
         elif args.command == "plots":
             for path in emit_plots(args.directory):

@@ -127,8 +127,7 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     return report
 
 
-def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False,
-                 workers: int | None = None) -> dict:
+def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> dict:
     """Frequency-domain pipeline: spectrum, axis scan, growth exponent."""
     if system is None:
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
@@ -174,7 +173,10 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False,
         if skipped.any():
             summary["notes"].append(f"peak insertion skipped {skipped.sum()} eigenvalue(s) "
                                     "on the axis to the resonance floor")
-        scan = spectral.scan_axis(system, grid, workers=workers)
+        if spectral.on_axis(system, eigs[eigs.real == abscissa]).any():
+            summary["notes"].append("spectral abscissa is on the axis to the resonance floor: "
+                                    "rounding, not a measured decay margin")
+        scan = spectral.scan_axis(system, grid)
         summary["scan"] = {
             "lambda_min": float(grid[0]),
             "lambda_max": float(grid[-1]),
@@ -219,7 +221,7 @@ def _atlas_cell(value) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
-def _sweep_point(cfg: RunConfig, workers: int | None) -> dict:
+def _sweep_point(cfg: RunConfig) -> dict:
     row = {name: None for name in ATLAS_COLUMNS}
     row.update(config_id=config_id(cfg), bc=cfg.bc.value, n=cfg.n, status="ok", error="")
     stage = "assemble"
@@ -228,7 +230,7 @@ def _sweep_point(cfg: RunConfig, workers: int | None) -> dict:
         stage = "simulate"
         report = simulate_run(cfg, system=system)
         stage = "spectrum"
-        summary = spectrum_run(cfg, system=system, workers=workers)
+        summary = spectrum_run(cfg, system=system)
         row.update(
             regime=report["regime"],
             predicted_decay=report["predicted_decay"],
@@ -242,17 +244,15 @@ def _sweep_point(cfg: RunConfig, workers: int | None) -> dict:
     return row
 
 
-def sweep_run(spec: SweepSpec, workers: int | None = None) -> str:
+def sweep_run(spec: SweepSpec) -> str:
     """Run every sweep point in config order, then write one atlas row each.
 
-    ``workers`` is each point's resolvent-scan thread count, as for
-    ``spectrum_run``.  Rows are sorted by config id; failed points keep
-    their row with the error message instead of aborting the sweep.
+    Rows are sorted by config id; failed points keep their row with the
+    error message instead of aborting the sweep.
     """
-    spectral.thread_count(workers)  # refuse a bad count before any point runs
     configs = expand_sweep(spec)
     os.makedirs(spec.outputs, exist_ok=True)
-    rows = sorted((_sweep_point(cfg, workers) for cfg in configs),
+    rows = sorted((_sweep_point(cfg) for cfg in configs),
                   key=lambda row: row["config_id"])
     lines = [",".join(ATLAS_COLUMNS)]
     lines += [",".join(_atlas_cell(row[c]) for c in ATLAS_COLUMNS) for row in rows]

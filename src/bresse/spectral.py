@@ -10,8 +10,6 @@ symmetric, and Lanczos on S* S, S the resolvent, gives the norm squared.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,25 +30,6 @@ class ResonantFrequencyError(RuntimeError):
     def __init__(self, lam: float, sigma_min: float):
         super().__init__(f"i*{lam:g} is numerically an eigenvalue (sigma_min={sigma_min:.3e}); "
                          "the resolvent norm is unbounded there")
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Worker threads: the request, else BRESSE_THREADS, else the CPU count.
-    A request or a BRESSE_THREADS value below 1 is refused."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"worker count must be a positive integer, got {requested}")
-        return requested
-    env = os.environ.get("BRESSE_THREADS", "").strip()
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(f"BRESSE_THREADS must be a positive integer, got {env!r}")
-        return count
-    return os.cpu_count() or 1
 
 
 def eigenvalues(system) -> np.ndarray:
@@ -154,20 +133,10 @@ def _lanczos_top(apply, gram, start) -> float:
     raise np.linalg.LinAlgError(f"resolvent Lanczos did not converge in {LANCZOS_MAXITER} steps")
 
 
-def resolvent_norm(system, lam: float, method: str = "iterative") -> float:
-    """Energy-weighted resolvent norm at i*lam, by the banded route or, with
-    method "svd", from the dense singular values of F (i lam - A) F^-1.
-    Both raise ResonantFrequencyError when i*lam is on the spectrum."""
-    if method == "iterative":
-        return _axis_resolvent(system)(lam)
-    if method != "svd":
-        raise ValueError(f"unknown method {method!r}")
-    F = scipy.linalg.cholesky(system.M)
-    W = F @ (1j * lam * np.eye(system.dimension) - system.A) @ np.linalg.inv(F)
-    sigma = float(scipy.linalg.svdvals(W)[-1])
-    if not sigma > resonance_floor(system, lam):
-        raise ResonantFrequencyError(lam, sigma)
-    return 1.0 / sigma
+def resolvent_norm(system, lam: float) -> float:
+    """Energy-weighted resolvent norm at i*lam by the banded route; raises
+    ResonantFrequencyError when i*lam is on the spectrum."""
+    return _axis_resolvent(system)(lam)
 
 
 @dataclass
@@ -184,22 +153,16 @@ class AxisScan:
         return float(np.max(self.norms))
 
 
-def scan_axis(system, lambdas, workers: int | None = None) -> AxisScan:
+def scan_axis(system, lambdas) -> AxisScan:
     """Resolvent norms over an increasing grid of positive frequencies, in
-    grid order; with more than one worker, on a thread pool."""
+    grid order."""
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("frequency grid must be a nonempty 1-d array")
     if np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
         raise ValueError("frequency grid must be positive and strictly increasing")
     norm = _axis_resolvent(system)
-    n_workers = min(thread_count(workers), lambdas.size)
-    if n_workers == 1:
-        norms = [norm(lam) for lam in lambdas]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            norms = list(pool.map(norm, lambdas))
-    return AxisScan(lambdas=lambdas, norms=np.asarray(norms))
+    return AxisScan(lambdas=lambdas, norms=np.array([norm(lam) for lam in lambdas]))
 
 
 def scan_cap(system) -> float:

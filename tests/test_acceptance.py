@@ -7,16 +7,18 @@ tolerance; no expected value is read back from the code under test.
 
 Criterion 4 contains a clause that the measurements genuinely refute: with
 all three fields clamped at both ends, the equal-wave-speed decay margin is
-not mesh-uniform (it shrinks by roughly 3x per mesh doubling while the
-weakest resolved mode climbs with the frequency band).  The clause is
-asserted as stated and left failing; the scoreboard line carries the numbers.
+not mesh-uniform over n = 50..200 (the weakest resolved mode climbs with the
+frequency band, and coarse meshes over-damp near their band top; the ratio
+per refinement falls from x3.1 at n = 100 -> 200 to x1.35 at 400 -> 800, so
+these meshes are pre-asymptotic).  The clause is asserted as stated and left
+failing; the scoreboard line carries the numbers.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from bresse import spectral
+from bresse import cli, spectral
 from bresse.config import load_sweep
 from bresse.discretize import assemble
 from bresse.evolve import (
@@ -263,9 +265,8 @@ def test_criterion_7_oracle_equivalence():
         for lam in (0.7, 3.3, 9.0, 15.0):
             W = F @ (1j * lam * eye - system.A) @ np.linalg.inv(F)
             oracle = 1.0 / np.linalg.svd(W, compute_uv=False).min()
-            for method in ("iterative", "svd"):
-                got = spectral.resolvent_norm(system, lam, method=method)
-                worst_res = max(worst_res, abs(got - oracle) / oracle)
+            got = spectral.resolvent_norm(system, lam)
+            worst_res = max(worst_res, abs(got - oracle) / oracle)
     res_ok = worst_res <= 1e-12
 
     record(7, "integrator and resolvent oracles", step_ok and res_ok,
@@ -292,8 +293,8 @@ def test_criterion_8_sweep_determinism(tmp_path):
     }))
     spec = load_sweep(str(spec_path))
 
-    def run_and_snapshot(workers):
-        sweep_run(spec, workers=workers)
+    def run_and_snapshot(run):
+        run()
         out = {}
         import os
         for root, _, files in os.walk(spec.outputs):
@@ -302,15 +303,18 @@ def test_criterion_8_sweep_determinism(tmp_path):
                 out[os.path.relpath(full, spec.outputs)] = open(full, "rb").read()
         return out
 
-    first = run_and_snapshot(workers=1)
-    repeat = run_and_snapshot(workers=1)
-    threaded = run_and_snapshot(workers=4)
+    def cli_sweep():  # --workers is accepted and ignored; it must change no byte
+        assert cli.main(["sweep", str(spec_path), "--workers", "4"]) == 0
+
+    first = run_and_snapshot(lambda: sweep_run(spec))
+    repeat = run_and_snapshot(lambda: sweep_run(spec))
+    flagged = run_and_snapshot(cli_sweep)
     assert "atlas.csv" in first
     assert len(first) > 4
     same_repeat = repeat == first
-    same_threads = threaded == first
-    record(8, "sweep determinism", same_repeat and same_threads,
+    same_flag = flagged == first
+    record(8, "sweep determinism", same_repeat and same_flag,
            f"{len(first)} files over 4 grid points: repeat identical "
-           f"{same_repeat}, parallel identical {same_threads}")
+           f"{same_repeat}, CLI --workers 4 identical {same_flag}")
     assert same_repeat
-    assert same_threads
+    assert same_flag

@@ -212,6 +212,7 @@ def test_cli_spectrum_summary(tmp_path, capsys):
     assert summary["max_real_part_unrestricted"] < 0.0
     assert summary["lambda_cap"] > 0.0
     assert summary["flag"] is None
+    assert not any("not a measured" in note for note in summary["notes"])
     assert summary["scan"]["count"] >= 24
     if summary["alpha_fit"] is not None and summary["alpha_fit"] > 0:
         assert summary["bt_energy_exponent"] == pytest.approx(
@@ -291,26 +292,14 @@ def test_spectrum_skips_peaks_on_the_resonance_floor(tmp_path, monkeypatch):
     """Raised to 5e-10, the resonance floor covers the two least-damped
     in-band eigenvalues of DNN kappa0 = 2 at n = 50; peak insertion must
     leave them out, so that the scan does not refuse its own grid, and the
-    summary must say so."""
+    summary must say so and that the abscissa is no measured margin."""
     monkeypatch.setattr(spectral, "RESONANCE_RTOL", 5e-10)
     path, _ = write_cfg(tmp_path, n=50, params={"kappa0": 2.0})
-    summary = spectrum_run(load_config(path), workers=1)
+    summary = spectrum_run(load_config(path))
     assert summary["alpha_fit"] is not None
     assert ("peak insertion skipped 2 eigenvalue(s) on the axis to the resonance floor"
             in summary["notes"])
-
-
-@pytest.mark.parametrize("command", ["spectrum", "sweep"])
-def test_cli_bad_thread_env_exit_code(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setenv("BRESSE_THREADS", "abc")
-    path, raw = write_cfg(tmp_path, n=8)
-    if command == "sweep":
-        path = str(tmp_path / "sweep.json")
-        with open(path, "w") as fh:
-            json.dump({"base": raw, "grid": {"params.b": [1.0, 2.0]},
-                       "outputs": str(tmp_path / "atlas")}, fh)
-    assert cli.main([command, path]) == 2
-    assert "BRESSE_THREADS" in capsys.readouterr().err
+    assert any("not a measured" in note for note in summary["notes"])
 
 
 @pytest.mark.parametrize("command", ["spectrum", "sweep"])
@@ -377,7 +366,7 @@ def test_sweep_expansion_regimes(tmp_path):
         assert cfg.outputs.startswith(spec_dict["outputs"])
         assert os.path.basename(cfg.outputs) == config_id(cfg)[:12]
 
-    atlas = sweep_run(spec, workers=1)
+    atlas = sweep_run(spec)
     rows = open(atlas).read().splitlines()
     assert rows[0] == ",".join(ATLAS_COLUMNS)
     assert len(rows) == 5
@@ -394,26 +383,11 @@ def test_sweep_continues_past_failing_point(tmp_path):
     spec_dict = sweep_raw(tmp_path, {"lambda_grid.min": [1.0, 1e9]})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec_dict))
-    atlas = sweep_run(load_sweep(str(path)), workers=1)
+    atlas = sweep_run(load_sweep(str(path)))
     rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
     assert sorted(c[9] for c in rows) == ["error", "ok"]
     bad = next(c for c in rows if c[9] == "error")
     assert bad[10].startswith("spectrum: ValueError: ")
-
-
-def test_sweep_hands_workers_to_every_scan(tmp_path, monkeypatch):
-    calls = []
-    scan_axis = spectral.scan_axis
-
-    def recording(system, lambdas, workers=None):
-        calls.append(workers)
-        return scan_axis(system, lambdas, workers=workers)
-
-    monkeypatch.setattr(spectral, "scan_axis", recording)
-    path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(sweep_raw(tmp_path, {"params.b": [1.0, 2.0]})))
-    sweep_run(load_sweep(str(path)), workers=3)
-    assert calls == [3, 3]
 
 
 def test_sweep_validation():
@@ -459,14 +433,14 @@ def test_single_point_sweep_matches_direct_runs(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec_dict))
     spec = load_sweep(str(path))
-    sweep_run(spec, workers=1)
+    sweep_run(spec)
     (cfg,) = expand_sweep(spec)
 
     from dataclasses import replace
 
     direct = replace(cfg, outputs=str(tmp_path / "direct"))
     simulate_run(direct)
-    spectrum_run(direct, workers=1)
+    spectrum_run(direct)
 
     swept = snapshot(cfg.outputs)
     straight = snapshot(direct.outputs)

@@ -22,7 +22,6 @@ from bresse.spectral import (
     scan_axis,
     scan_cap,
     spectral_abscissa,
-    thread_count,
 )
 
 from conftest import DDD, DNN, beam, interval, scan_for, system_for
@@ -145,8 +144,6 @@ def test_resolvent_matches_independent_oracle():
         for lam in (0.7, 3.3, 17.0):
             expected = oracle_resolvent_norm(system, lam)
             assert resolvent_norm(system, lam) == pytest.approx(expected, rel=1e-12)
-            assert resolvent_norm(system, lam, method="svd") == pytest.approx(
-                expected, rel=1e-12)
 
 
 def test_iterative_norm_needs_no_svd_fallback(no_svd_fallback):
@@ -231,22 +228,6 @@ def test_scan_axis_validation_and_single_point():
     assert single.norms.shape == (1,)
     assert single.peak_lambda == 3.0
     assert single.peak_norm == pytest.approx(resolvent_norm(system, 3.0), rel=1e-12)
-
-
-def test_scan_worker_count_does_not_change_results():
-    system = system_for(beam(), interval(), DNN, 10)
-    grid = np.geomspace(1.0, scan_cap(system), 20)
-    serial = scan_axis(system, grid, workers=1)
-    threaded = scan_axis(system, grid, workers=3)
-    np.testing.assert_array_equal(serial.norms, threaded.norms)
-
-
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("BRESSE_THREADS", "2")
-    assert thread_count() == 2
-    assert thread_count(5) == 5
-    monkeypatch.delenv("BRESSE_THREADS")
-    assert thread_count() >= 1
 
 
 def test_default_grid_capped_and_peak_augmented():
