@@ -33,7 +33,8 @@ and the DNN mean-zero constraints are two border rows; time stepping and
 resolvent scans run there.  The reduced coordinates, the public state,
 expand the DNN fields in an orthonormal mean-zero basis built from one
 Householder reflector, so to_nodes and to_reduced convert states in O(n);
-the dense generator A and energy Gram M are built only on request.
+the dense generator A and energy Gram M are built only on request, for
+operator dumps and test oracles.
 """
 
 from __future__ import annotations
@@ -290,7 +291,8 @@ def bordered_band_solver(band: np.ndarray, kl: int, border: np.ndarray, diagonal
     return solve
 
 
-def _check_cap(dim: int) -> None:
+def check_dense_cap(dim: int) -> None:
+    """Refuse a dense dim x dim build above DENSE_CAP, before it allocates."""
     if dim > DENSE_CAP:
         raise DenseSolverCapError(
             f"dimension {dim} exceeds the dense solver cap {DENSE_CAP}; use a smaller n")
@@ -301,9 +303,11 @@ class DiscreteSystem:
 
     State ordering is (phi, psi, omega, u, v, z) with u, v, z the velocities,
     in reduced coordinates.  The sparse node-level parts carry the physics;
-    energy and dissipation are evaluated from them in O(n), and the dense A,
-    M and damping Gram are built from them on first use, below the dense
-    cap.  M is symmetric positive definite; the damping enters A only on the
+    energy and dissipation are evaluated from them in O(n).  The dense
+    half-size stiffness and damping Grams are built from them on first use
+    (for the spectrum and the initial data), and the dense A and M only on
+    request (operator dumps and test oracles), all below the dense cap.  M is
+    symmetric positive definite; the damping enters A only on the
     shear-velocity block.
     """
 
@@ -355,7 +359,7 @@ class DiscreteSystem:
     @cached_property
     def reduced_stiffness(self) -> np.ndarray:
         """Dense stiffness block of M in the reduced coordinates."""
-        _check_cap(self._half)
+        check_dense_cap(self._half)
         ST = self.parts.strain @ to_nodes(self.parts, np.eye(self._half))
         K = ST.T @ (self.parts.cell_weights[:, None] * ST)
         return 0.5 * (K + K.T)
@@ -371,7 +375,7 @@ class DiscreteSystem:
     @cached_property
     def M(self) -> np.ndarray:
         """Dense energy Gram of the reduced coordinates, built on first use."""
-        _check_cap(self.dimension)
+        check_dense_cap(self.dimension)
         h = self._half
         M = np.zeros((2 * h, 2 * h))
         M[:h, :h] = self.reduced_stiffness
@@ -381,7 +385,7 @@ class DiscreteSystem:
     @cached_property
     def A(self) -> np.ndarray:
         """Dense generator of the reduced coordinates, built on first use."""
-        _check_cap(self.dimension)
+        check_dense_cap(self.dimension)
         h = self._half
         A = np.zeros((2 * h, 2 * h))
         A[:h, h:] = np.eye(h)

@@ -11,7 +11,6 @@ import math
 import os
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from . import spectral
@@ -72,6 +71,8 @@ def _fit_dict(fit):
 
 
 def _dump_operators(system, out_dir: str) -> None:
+    import scipy.io  # here, so that runs without the dump do not load it
+
     scipy.io.mmwrite(os.path.join(out_dir, "A.mtx"), scipy.sparse.coo_matrix(system.A))
     scipy.io.mmwrite(os.path.join(out_dir, "M.mtx"), scipy.sparse.coo_matrix(system.M))
 

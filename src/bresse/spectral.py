@@ -1,9 +1,11 @@
 """Frequency-domain measurements: spectrum and resolvent growth.
 
-The spectrum comes from one dense real Schur factorization of F A F^{-1}
-(M = F^T F).  Energy-norm resolvents build no dense matrix: (i lam - A) U = f
-is Q q = R f_p + (i lam R + C) f_q, p = i lam q - f_q, with Q = K - lam^2 R
-+ i lam C banded in node order, one LU per frequency.  The energy adjoint
+The spectrum comes from one dense real Schur factorization of the
+energy-weighted generator F A F^{-1} (M = F^T F), filled from one Cholesky
+factor of the half-size stiffness without forming A, M or F.  Energy-norm
+resolvents build no dense matrix: (i lam - A) U = f is Q q = R f_p +
+(i lam R + C) f_q, p = i lam q - f_q, with Q = K - lam^2 R + i lam C banded
+in node order, one LU per frequency.  The energy adjoint
 -(i lam - A~)^{-1} (A~: damping -C) reuses it with Q^H, Q being complex
 symmetric, and Lanczos on S* S, S the resolvent, gives the norm squared.
 """
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
-from .discretize import bordered_band_solver, node_band
+from .discretize import bordered_band_solver, check_dense_cap, node_band
 
 RESONANCE_RTOL = 1e-14
 LANCZOS_RTOL = 1e-10     # Ritz residual over Ritz value at convergence
@@ -33,17 +34,32 @@ class ResonantFrequencyError(RuntimeError):
 
 
 def eigenvalues(system) -> np.ndarray:
-    """Full spectrum of the generator, sorted by imaginary part, cached."""
+    """Full spectrum of the generator, sorted by imaginary part, cached.
+
+    One real Schur factorization of F A F^-1, M = F^T F, filled from one
+    half-size Cholesky K_red = L^T L: F = blockdiag(L, V^1/2), V the velocity
+    mass, gives [[0, B], [-B^T, -Ch]] with B = L V^-1/2 and Ch = V^-1/2 C_red
+    V^-1/2 on the psi-velocity block only.  The d x d array is refused above
+    DENSE_CAP before it exists, and gees overwrites it.
+    """
     if system.spectrum is None:
-        # system.M refuses a dimension above DENSE_CAP before allocating
-        F = scipy.linalg.cholesky(system.M)          # M = F^T F, F upper
-        X = F @ system.A
-        # right-multiply by F^{-1} through a transposed triangular solve
-        Atil = scipy.linalg.solve_triangular(F, X.T, trans="T", lower=False).T
+        d = system.dimension
+        check_dense_cap(d)
+        h = d // 2
+        B = scipy.linalg.cholesky(system.reduced_stiffness)  # upper L
+        B /= np.sqrt(system.velocity_mass)
+        Atil = np.zeros((d, d), order="F")  # gees works in place on Fortran order
+        Atil[:h, h:] = B
+        np.negative(B.T, out=Atil[h:, :h])
+        del B
+        psi, v = system.slices["psi"], system.slices["v"]
+        w = 1.0 / np.sqrt(system.velocity_mass[psi])
+        Atil[v, v] = -(w[:, None] * system.damping_gram * w)
         gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
         # optimal workspace, as schur() queries it: the default minimum is slower
-        lwork = int(gees(lambda re, im: None, Atil, lwork=-1)[-2][0].real)
-        _, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork)
+        lwork = int(gees(lambda re, im: None, Atil, lwork=-1, overwrite_a=True)[-2][0].real)
+        _, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork,
+                                        overwrite_a=True)
         if info:
             raise np.linalg.LinAlgError(f"real Schur factorization failed (info={info})")
         vals = wr + 1j * wi
@@ -242,6 +258,8 @@ def fit_growth_exponent(lambdas, norms, window=None,
         raise ValueError(f"growth fit window holds {m} samples, need at least 8")
     if np.ptp(x) == 0.0:
         raise ValueError("growth fit window is degenerate")
+    import scipy.special  # here, so that importing the package does not load it
+
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     sxx = float(np.sum((x - x.mean()) ** 2))
