@@ -6,6 +6,7 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -60,6 +61,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number(value, name: str) -> float:
+    """value as a finite float, or ConfigError naming the key."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    _require(math.isfinite(number), f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -70,9 +81,10 @@ def parse_config(raw: dict) -> RunConfig:
     p = raw["params"]
     _require(isinstance(p, dict) and set(p) == set(_PARAM_KEYS),
              f"params must hold exactly the keys {list(_PARAM_KEYS)}")
+    values = {k: _number(p[k], f"params.{k}") for k in _PARAM_KEYS}
     try:
-        params = BeamParameters(**{k: float(p[k]) for k in _PARAM_KEYS})
-    except (TypeError, ValueError) as err:
+        params = BeamParameters(**values)
+    except ValueError as err:
         raise ConfigError(f"bad params: {err}") from err
 
     pr = raw["profile"]
@@ -80,11 +92,11 @@ def parse_config(raw: dict) -> RunConfig:
     allowed = {"alpha", "beta", "a0", "shape", "ramp"}
     _require(set(pr) <= allowed and {"alpha", "beta", "a0"} <= set(pr),
              "profile needs alpha, beta, a0 and optionally shape, ramp")
+    values = {k: _number(pr.get(k, 0.0), f"profile.{k}")  # only ramp may be absent
+              for k in ("alpha", "beta", "a0", "ramp")}
     try:
         shape = DampingShape(pr.get("shape", "PiecewiseConstant"))
-        profile = DampingProfile(alpha=float(pr["alpha"]), beta=float(pr["beta"]),
-                                 a0=float(pr["a0"]), shape=shape,
-                                 ramp=float(pr.get("ramp", 0.0)))
+        profile = DampingProfile(**values, shape=shape)
         profile.validate_for_length(params.L)
     except ValueError as err:
         raise ConfigError(f"bad profile: {err}") from err
@@ -100,30 +112,30 @@ def parse_config(raw: dict) -> RunConfig:
                  f"{adm.tol:g} of {adm.nearest_n}*pi/l")
 
     n = raw["n"]
-    _require(_is_int(n) and n >= 4,
-             "n must be an integer >= 4")
-    T = float(raw["T"])
+    _require(_is_int(n) and n >= 4, "n must be an integer >= 4")
+    T = _number(raw["T"], "T")
     _require(T > 0, "T must be positive")
 
     dt_raw = raw.get("dt", "auto")
     if dt_raw == "auto":
         dt = auto_dt(params, n)
     else:
-        dt = float(dt_raw)
+        dt = _number(dt_raw, "dt")
         _require(dt > 0, "dt must be positive or the string 'auto'")
 
     seed = raw.get("seed", 0)
-    _require(_is_int(seed), "seed must be an integer")
+    _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0")
 
     lg = raw.get("lambda_grid", {})
     _require(isinstance(lg, dict) and set(lg) <= {"min", "max", "count", "spacing"},
              "lambda_grid holds min, max, count, spacing")
     lam_max = lg.get("max", "auto")
-    lam_max = None if lam_max == "auto" else float(lam_max)
+    lam_max = None if lam_max == "auto" else _number(lam_max, "lambda_grid.max")
     _require(lg.get("spacing", "log") == "log", "only log spacing is supported")
     count = lg.get("count", 48)
     _require(_is_int(count) and count >= 2, "lambda_grid.count must be an integer >= 2")
-    grid = LambdaGrid(min=float(lg.get("min", 1.0)), max=lam_max, count=count)
+    grid = LambdaGrid(min=_number(lg.get("min", 1.0), "lambda_grid.min"), max=lam_max,
+                      count=count)
     _require(grid.min > 0, "lambda_grid.min must be positive")
     if grid.max is not None:
         _require(grid.max > grid.min, "lambda_grid.max must exceed min")

@@ -26,15 +26,15 @@ nodes but are restricted to the mean-zero subspace of the trapezoid inner
 product, which removes the rigid constant mode that otherwise makes the
 energy degenerate.
 
-Two coordinate systems describe one state.  In node coordinates, the stored
-node values of each field, K = S^T W S, the nodal mass, the damping and the
-energy and dissipation roots are sparse, banded in node order (node_band),
-and the DNN mean-zero constraints are two border rows; time stepping and
-resolvent scans run there.  The reduced coordinates, the public state,
-expand the DNN fields in an orthonormal mean-zero basis built from one
-Householder reflector, so to_nodes and to_reduced convert states in O(n);
-the dense generator A and energy Gram M are built only on request, for
-operator dumps and test oracles.
+Two coordinate systems describe one state.  In node coordinates (NodeParts)
+the stored values sit node by node: K = S^T W S, also in band storage, the
+mass R, the damping C and the energy and dissipation roots are sparse and
+banded, and the DNN mean-zero constraints are two border rows.  Stepping
+and resolvent scans factor the pencil K + sigma C + sigma^2 R there, with
+pencil_solver.  The reduced coordinates, the public state, expand the DNN
+fields in an orthonormal mean-zero basis built from one Householder
+reflector, so to_nodes and to_reduced convert states in O(n); the dense A
+and M are built only on request, for operator dumps and test oracles.
 """
 
 from __future__ import annotations
@@ -131,17 +131,19 @@ def _reflector(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 class NodeParts:
     """Sparse node-level pieces of the energy pencil, assembled once.
 
-    A half-state in node coordinates stacks phi at interior nodes and psi,
-    omega at interior nodes (DDD) or at all n+1 nodes (DNN); displacements
-    q and velocities p share that layout, and the energy is
-    (q^T K q + p^T diag(mass) p) / 2 on the states that satisfy
-    border^T q = border^T p = 0.  The two roots act on x = [q; p].
+    A half-state in node coordinates holds phi at interior nodes and psi,
+    omega at interior nodes (DDD) or at all n+1 nodes (DNN), node by node
+    (key node*3 + field), so K has half-bandwidth 5 at any n.  q and p share
+    that layout, and the energy is (q^T K q + p^T diag(mass) p) / 2 on the
+    states with border^T q = border^T p = 0.  The roots act on x = [q; p].
     """
 
     embeddings: dict            # field -> stored nodes into all n+1 nodes
+    layout: np.ndarray          # node-order position of each stored value listed field by field
     strain: sp.csr_matrix       # S: node values -> per-cell strain samples
     cell_weights: np.ndarray    # W: quadrature weight of each strain sample
     stiffness: sp.csc_matrix    # K = S^T W S
+    band: np.ndarray            # K in LAPACK band storage, 2 * bandwidth + 1 rows
     mass: np.ndarray            # rho * mu at the stored nodes
     damping: np.ndarray         # mu * a at the psi nodes, zero elsewhere
     border: np.ndarray          # DNN: columns mu on psi and on omega; DDD: none
@@ -150,9 +152,14 @@ class NodeParts:
     damping_root: sp.csr_matrix  # g = sqrt(damping) p on its support, D = |g|^2
 
     @property
-    def node_slices(self) -> dict[str, slice]:
+    def bandwidth(self) -> int:
+        return self.band.shape[0] // 2
+
+    @property
+    def node_slices(self) -> dict[str, np.ndarray]:
+        """field -> half-state positions of its stored nodes, in node order."""
         stops = np.cumsum([self.embeddings[f].shape[1] for f in FIELD_NAMES[:3]])
-        return {f: slice(int(stop - self.embeddings[f].shape[1]), int(stop))
+        return {f: self.layout[stop - self.embeddings[f].shape[1]:stop]
                 for f, stop in zip(FIELD_NAMES[:3], stops)}
 
 
@@ -160,7 +167,7 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
                 a_nodes: np.ndarray) -> NodeParts:
     """Strain map, stiffness, mass, damping and energy roots on the nodes;
     the energy and the generator both derive from these, so the two stay
-    exactly compatible."""
+    exactly compatible.  Built field by field, then put in node order once."""
     n, h, l = grid.n, grid.h, params.l
     mu = grid.trapezoid_weights()
     interior = dirichlet_embedding(n)
@@ -193,11 +200,6 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
                            params.rho1 * mu_at["omega"]])
     zeros = {f: np.zeros(emb[f].shape[1]) for f in emb}
     damping = np.concatenate([zeros["phi"], Epsi.T @ (mu * a_nodes), zeros["omega"]])
-    energy_root = sp.bmat([[sp.diags(np.sqrt(cell_w)) @ S, None],
-                           [None, sp.diags(np.sqrt(mass))]], format="csr")
-    shear = sp.diags(np.sqrt(damping), format="csr")[np.flatnonzero(damping)]
-    damping_root = sp.hstack([sp.csr_matrix(shear.shape), shear], format="csr")
-
     if bc is BoundaryCondition.DDD:
         border, reflector = np.zeros((mass.size, 0)), None
     else:
@@ -205,8 +207,23 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
             np.concatenate([zeros["phi"], mu, zeros["omega"]]),
             np.concatenate([zeros["phi"], zeros["psi"], mu])])
         reflector = _reflector(grid)
-    return NodeParts(emb, S, cell_w, K, mass, damping, border, reflector,
-                     energy_root, damping_root)
+
+    nodes = np.arange(n + 1)
+    perm = np.argsort(np.concatenate([3 * (emb[f].T @ nodes) + k
+                                      for k, f in enumerate(FIELD_NAMES[:3])]))
+    S, K = S[:, perm], K[perm][:, perm]
+    mass, damping, border = mass[perm], damping[perm], border[perm]
+    coo = K.tocoo()
+    kl = int(np.abs(coo.row - coo.col).max(initial=0))
+    band = np.zeros((2 * kl + 1, perm.size))
+    band[kl + coo.row - coo.col, coo.col] = coo.data
+
+    energy_root = sp.bmat([[sp.diags(np.sqrt(cell_w)) @ S, None],
+                           [None, sp.diags(np.sqrt(mass))]], format="csr")
+    shear = sp.diags(np.sqrt(damping), format="csr")[np.flatnonzero(damping)]
+    damping_root = sp.hstack([sp.csr_matrix(shear.shape), shear], format="csr")
+    return NodeParts(emb, np.argsort(perm), S, cell_w, K, band, mass, damping, border,
+                     reflector, energy_root, damping_root)
 
 
 def to_nodes(parts: NodeParts, y: np.ndarray) -> np.ndarray:
@@ -215,68 +232,56 @@ def to_nodes(parts: NodeParts, y: np.ndarray) -> np.ndarray:
     phi and all DDD fields keep their values; a DNN psi or omega block with
     mean-zero coefficients c has node values H[:, 1:] c / sqrt(mu).
     """
-    if parts.reflector is None:
-        return y
-    u, root = parts.reflector
-    n = root.size - 1
-    Y = y.reshape(y.shape[0], -1)
-    X = np.zeros((3 * n + 1, Y.shape[1]), dtype=Y.dtype)
-    X[:n - 1] = Y[:n - 1]
-    for c, x in ((Y[n - 1:2 * n - 1], X[n - 1:2 * n]), (Y[2 * n - 1:], X[2 * n:])):
-        x[1:] = (1.0 / root[1:])[:, None] * c
-        x += (-2.0 * u / root)[:, None] * (u[1:] @ c)
+    Y = B = y.reshape(y.shape[0], -1)  # B: field by field
+    X = np.empty((parts.layout.size, Y.shape[1]), dtype=Y.dtype)
+    if parts.reflector is not None:
+        u, root = parts.reflector
+        n = root.size - 1
+        B = np.zeros_like(X)
+        B[:n - 1] = Y[:n - 1]
+        for c, x in ((Y[n - 1:2 * n - 1], B[n - 1:2 * n]), (Y[2 * n - 1:], B[2 * n:])):
+            x[1:] = (1.0 / root[1:])[:, None] * c
+            x += (-2.0 * u / root)[:, None] * (u[1:] @ c)
+    X[parts.layout] = B
     return X.reshape(X.shape[:1] + y.shape[1:])
 
 
 def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
     """Inverse of to_nodes on node half-states that satisfy the border rows:
     c = H[1:, :] (sqrt(mu) x) per DNN psi or omega block, in O(n)."""
-    if parts.reflector is None:
-        return x
-    u, root = parts.reflector
-    n = root.size - 1
-    X = x.reshape(x.shape[0], -1)
-    Y = np.empty((3 * n - 1, X.shape[1]), dtype=X.dtype)
-    Y[:n - 1] = X[:n - 1]
-    for w, c in ((X[n - 1:2 * n], Y[n - 1:2 * n - 1]), (X[2 * n:], Y[2 * n - 1:])):
-        c[:] = root[1:, None] * w[1:] + (-2.0 * u[1:])[:, None] * ((u * root) @ w)
-    return Y.reshape(Y.shape[:1] + x.shape[1:])
+    X = x.reshape(x.shape[0], -1)[parts.layout]  # field by field
+    if parts.reflector is not None:
+        u, root = parts.reflector
+        n = root.size - 1
+        Y = np.empty((3 * n - 1, X.shape[1]), dtype=X.dtype)
+        Y[:n - 1] = X[:n - 1]
+        for w, c in ((X[n - 1:2 * n], Y[n - 1:2 * n - 1]), (X[2 * n:], Y[2 * n - 1:])):
+            c[:] = root[1:, None] * w[1:] + (-2.0 * u[1:])[:, None] * ((u * root) @ w)
+        X = Y
+    return X.reshape(X.shape[:1] + x.shape[1:])
 
 
-def node_band(parts: NodeParts) -> tuple[np.ndarray, sp.csc_matrix, np.ndarray, int]:
-    """Node-interleaved order of a half-state (key node*3 + field), K in that
-    order, and K in LAPACK band storage with its half-bandwidth kl, 5 at any n."""
-    nodes = np.arange(parts.embeddings["phi"].shape[0])
-    perm = np.argsort(np.concatenate([3 * (parts.embeddings[f].T @ nodes) + k
-                                      for k, f in enumerate(FIELD_NAMES[:3])]))
-    K = parts.stiffness[perm][:, perm]
-    coo = K.tocoo()
-    kl = int(np.abs(coo.row - coo.col).max(initial=0))
-    band = np.zeros((2 * kl + 1, perm.size))
-    band[kl + coo.row - coo.col, coo.col] = coo.data
-    return perm, K, band, kl
-
-
-def bordered_band_solver(band: np.ndarray, kl: int, border: np.ndarray, diagonal: np.ndarray):
-    """solve(b, adjoint=False) for [P G; G^T 0] [x; *] = [b; 0], P = band +
-    diag(diagonal) symmetric or complex symmetric, G real border columns: one
-    LU with partial pivoting (gbtrf), the border by block elimination with
-    Z = P^-1 G, reused as conj(Z) for P^H = conj(P).  A zero pivot or a
-    singular G^T Z raises LinAlgError."""
-    ab = np.zeros((3 * kl + 1, band.shape[1]), dtype=np.result_type(band, diagonal))
-    ab[kl:] = band  # the top kl rows are room for the pivots
-    ab[2 * kl] += diagonal
+def pencil_solver(parts: NodeParts, sigma: complex):
+    """solve(b, adjoint=False) for [Q G; G^T 0] [x; *] = [b; 0] with the energy
+    pencil Q = K + sigma C + sigma^2 R (R the mass, C the damping) in node
+    order and G the border: one banded LU with partial pivoting (gbtrf), the
+    border by block elimination with Z = Q^-1 G, reused as conj(Z) for
+    Q^H = conj(Q).  A zero pivot or a singular G^T Z raises LinAlgError."""
+    kl = parts.bandwidth
+    ab = np.zeros((3 * kl + 1, parts.band.shape[1]), dtype=np.result_type(parts.band, sigma))
+    ab[kl:] = parts.band  # the top kl rows are room for the pivots
+    ab[2 * kl] += sigma * (sigma * parts.mass + parts.damping)
     gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError(f"zero pivot {info}")
-    corrections = None
+    border, corrections = parts.border, None
     if border.shape[1]:
         Z = gbtrs(lu, kl, kl, border, piv)[0]
         try:
             W = np.linalg.solve(border.T @ Z, border.T)
         except np.linalg.LinAlgError as err:
-            raise np.linalg.LinAlgError("border G^T P^-1 G is singular") from err
+            raise np.linalg.LinAlgError("border G^T Q^-1 G is singular") from err
         corrections = (Z, W), (Z.conj(), W.conj())
 
     def solve(b: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -289,6 +294,11 @@ def bordered_band_solver(band: np.ndarray, kl: int, border: np.ndarray, diagonal
             x -= Z @ (W @ x)
         return x
     return solve
+
+
+def half_dimension(bc: BoundaryCondition, n: int) -> int:
+    """Size of a reduced half-state on n cells, known before assembly."""
+    return 3 * n - (3 if bc is BoundaryCondition.DDD else 1)
 
 
 def check_dense_cap(dim: int) -> None:
@@ -313,13 +323,8 @@ class DiscreteSystem:
 
     def __init__(self, params, profile, bc, grid, parts: NodeParts, slices,
                  velocity_mass):
-        self.params = params
-        self.profile = profile
-        self.bc = bc
-        self.grid = grid
-        self.parts = parts
-        self.slices = slices
-        self.velocity_mass = velocity_mass
+        self.params, self.profile, self.bc, self.grid = params, profile, bc, grid
+        self.parts, self.slices, self.velocity_mass = parts, slices, velocity_mass
         self.spectrum = None  # spectral's eigenvalues, computed on first use
         self._half = slices["omega"].stop
 
@@ -368,7 +373,7 @@ class DiscreteSystem:
     def damping_gram(self) -> np.ndarray:
         """Dense damping quadrature on the reduced shear-velocity block."""
         psi = self.parts.node_slices["psi"]
-        T = to_nodes(self.parts, np.eye(self._half))[psi, self.slices["psi"]]
+        T = to_nodes(self.parts, np.eye(self._half)[:, self.slices["psi"]])[psi]
         C = T.T @ (self.parts.damping[psi, None] * T)
         return 0.5 * (C + C.T)
 

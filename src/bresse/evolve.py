@@ -9,10 +9,10 @@ respected exactly: the discrete energy satisfies
 to rounding, where D is the damping quadrature, so undamped runs conserve
 energy and damped runs dissipate it monotonically at machine precision.
 
-``simulate`` converts its initial state once to node coordinates, ordered
-node by node, and runs the whole loop there: each step is one banded solve,
-an in-place update of x = [q; p] and one sparse product that yields the next
-right-hand side together with the energy and dissipation of the new state.
+``simulate`` converts its initial state once to node coordinates and runs
+the whole loop there: each step is one solve with the energy pencil at
+sigma = 2/dt, an in-place update of x = [q; p] and one sparse product that
+yields the next right-hand side and the energy and dissipation of the state.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .config import auto_dt
-from .discretize import DiscreteSystem, bordered_band_solver, node_band
+from .discretize import DiscreteSystem, pencil_solver
 
 
 class NumericalBlowupError(RuntimeError):
@@ -110,14 +110,13 @@ class MidpointStepper:
     """Banded-LU one-step map for a fixed step size.
 
     With nodal mass R, damping C, stiffness K, the DNN border rows G and
-    P = R + dt/2 C + dt^2/4 K, the new velocity solves
+    Q = K + sigma C + sigma^2 R at sigma = 2/dt, the new velocity solves
 
-        [P    G] [p+]   [(2R - P) p - dt K q]
-        [G^T  0] [ * ] = [         0         ],    q+ = q + dt/2 (p + p+),
+        [Q    G] [p+]   [(sigma^2 R - sigma C - K) p - 2 sigma K q]
+        [G^T  0] [ * ] = [                   0                     ],
 
-    the Cayley step of A in node coordinates.  In the node order of
-    ``node_band`` P has half-bandwidth 5 at any n; ``bordered_band_solver``
-    pivots (anti-damped, P is indefinite) and eliminates the border.
+    q+ = q + (p + p+) / sigma: the Cayley step of A in node coordinates,
+    factored by ``pencil_solver`` (pivoted: anti-damped, Q is indefinite).
     ``rows`` maps x = [q; p] to the right-hand side and the energy and
     damping roots of x.  ``step`` maps reduced vectors or columns, also complex.
     """
@@ -126,27 +125,23 @@ class MidpointStepper:
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
         parts = system.parts
-        perm, K, band, self.bandwidth = node_band(parts)
-        m = self._nodes = perm.size
-        self.dt, self.system, self.order = dt, system, np.concatenate([perm, m + perm])
-        self._unorder = np.argsort(self.order)
-        mass, diagonal = parts.mass[perm], parts.mass[perm] + 0.5 * dt * parts.damping[perm]
-        P = sp.diags(diagonal) + (0.25 * dt * dt) * K
+        self.dt, self.system, self.bandwidth = dt, system, parts.bandwidth
+        self.sigma = sigma = 2.0 / dt
         try:
-            self._solve = bordered_band_solver((0.25 * dt * dt) * band, self.bandwidth,
-                                               parts.border[perm], diagonal)
+            self._solve = pencil_solver(parts, sigma)
         except np.linalg.LinAlgError as err:
             raise SingularStepError(f"step matrix at dt={dt:g} is singular: {err}") from err
-        self._energy_stop = m + parts.energy_root.shape[0]
-        self.rows = sp.vstack([sp.hstack([-dt * K, sp.diags(2.0 * mass) - P]),
-                               parts.energy_root[:, self.order],
-                               parts.damping_root[:, self.order]], format="csr")
+        K, m = parts.stiffness, parts.mass.size
+        self._nodes, self._energy_stop = m, m + parts.energy_root.shape[0]
+        diagonal = sigma * (sigma * parts.mass - parts.damping)
+        self.rows = sp.vstack([sp.hstack([(-2.0 * sigma) * K, sp.diags(diagonal) - K]),
+                               parts.energy_root, parts.damping_root], format="csr")
 
     def advance(self, x: np.ndarray, y: np.ndarray) -> None:
         """Step the node state x in place, given y = rows @ x."""
         m = self._nodes
         sol = self._solve(y[:m])
-        x[:m] += (0.5 * self.dt) * (x[m:] + sol)
+        x[:m] += (x[m:] + sol) / self.sigma
         x[m:] = sol
 
     def energy_and_damping_root(self, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -155,9 +150,9 @@ class MidpointStepper:
         return 0.5 * float(e @ e), y[self._energy_stop:]
 
     def step(self, U: np.ndarray) -> np.ndarray:
-        x = self.system.node_state(U)[self.order]
+        x = self.system.node_state(U)
         self.advance(x, self.rows @ x)
-        return self.system.reduced_state(x[self._unorder])
+        return self.system.reduced_state(x)
 
 
 @dataclass
@@ -170,17 +165,14 @@ class EnergyTimeSeries:
 
 def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
              T: float, dt: float | None = None, sample_stride: int = 1,
-             collect_balance: bool = False,
-             balance_mode: str = "midpoint") -> EnergyTimeSeries:
+             collect_balance: bool = False) -> EnergyTimeSeries:
     """Run to final time T, sampling energy and dissipation every
     ``sample_stride`` steps (the final state is always sampled).
 
     Energy is monitored at every step; a rise above 1e-12 * E(0) aborts, as
     does a non-finite state.  With ``collect_balance`` the largest per-step
-    balance defect is reported relative to E(0): ``balance_mode`` "midpoint"
-    checks E+ - E = -dt D(U_mid), which the scheme satisfies exactly, and
-    "trapezoid_rate" checks (E+ - E)/dt = -(D(U) + D(U+))/2, whose defect is
-    (dt^2/4) D(A U_mid) and therefore shrinks by 4 when dt halves.
+    defect of E+ - E = -dt D(U_mid), which the scheme satisfies exactly, is
+    reported relative to E(0).
     """
     if not T > 0:
         raise ValueError("final time must be positive")
@@ -190,15 +182,10 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
         dt = default_dt(system)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    # defects of (E, E+, g, g+), where D = |g|^2 and g is linear in the state
-    defects = {"midpoint": lambda E, F, g, h: abs(F - E + 0.25 * dt * float((g + h) @ (g + h))),
-               "trapezoid_rate": lambda E, F, g, h: abs((F - E) / dt + 0.5 * float(g @ g + h @ h))}
-    if balance_mode not in defects:
-        raise ValueError(f"unknown balance mode {balance_mode!r}")
     U = initial if isinstance(initial, np.ndarray) else make_initial(system, initial)
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
-    x = system.node_state(np.asarray(U, dtype=float))[stepper.order]
+    x = system.node_state(np.asarray(U, dtype=float))
     y = stepper.rows @ x
     E_prev, g_prev = stepper.energy_and_damping_root(y)
     if not E_prev > 0:
@@ -206,9 +193,7 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     E0 = E_prev
     rise_allowance = 1e-12 * E0
 
-    times = [0.0]
-    energies = [E_prev]
-    dissipations = [float(g_prev @ g_prev)]
+    times, energies, dissipations = [0.0], [E_prev], [float(g_prev @ g_prev)]
     max_residual = 0.0
 
     for k in range(1, n_steps + 1):
@@ -220,25 +205,21 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
         if E_next > E_prev + rise_allowance:
             raise EnergyMonotonicityError(
                 f"energy rose by {E_next - E_prev:.3e} at step {k} (dt={dt})")
-        if collect_balance:
-            max_residual = max(max_residual, defects[balance_mode](E_prev, E_next, g_prev, g_next))
+        if collect_balance:  # g is linear in the state: g_prev + g_next = 2 g(U_mid)
+            g_sum = g_prev + g_next
+            max_residual = max(max_residual, abs(E_next - E_prev + 0.25 * dt * float(g_sum @ g_sum)))
         if k % sample_stride == 0 or k == n_steps:
             times.append(k * dt)
             energies.append(E_next)
             dissipations.append(float(g_next @ g_next))
         E_prev, g_prev = E_next, g_next
 
-    return EnergyTimeSeries(
-        times=np.asarray(times),
-        energy=np.asarray(energies),
-        dissipation=np.asarray(dissipations),
-        max_balance_residual=(max_residual / E0 if collect_balance else None),
-    )
+    return EnergyTimeSeries(np.asarray(times), np.asarray(energies), np.asarray(dissipations),
+                            max_residual / E0 if collect_balance else None)
 
 
 def energy_balance_residual(system: DiscreteSystem, U0: np.ndarray, dt: float,
-                            n_steps: int, mode: str = "midpoint") -> float:
-    """Largest per-step energy-balance defect over n_steps relative to E(0),
-    for either balance mode of ``simulate``."""
+                            n_steps: int) -> float:
+    """Largest per-step midpoint balance defect over n_steps relative to E(0)."""
     return simulate(system, U0, T=n_steps * dt, dt=dt, sample_stride=n_steps,
-                    collect_balance=True, balance_mode=mode).max_balance_residual
+                    collect_balance=True).max_balance_residual

@@ -15,7 +15,7 @@ import scipy.sparse
 
 from . import spectral
 from .config import RunConfig, SweepSpec, config_id, expand_sweep, to_dict
-from .discretize import assemble
+from .discretize import assemble, check_dense_cap, half_dimension
 from .evolve import RandomSmooth, make_initial, simulate
 from .fitting import (FitWindowError, bt_map, classify_decay, fit_exponential,
                       fit_polynomial)
@@ -79,6 +79,8 @@ def _dump_operators(system, out_dir: str) -> None:
 
 def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> dict:
     """Time-domain pipeline: evolve seeded smooth data, fit the tail, report."""
+    # refused before assembly: the initial modes are dense at half size, a dump at full size
+    check_dense_cap((2 if dump_operators else 1) * half_dimension(cfg.bc, cfg.n))
     if system is None:
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
     cid = config_id(cfg)
@@ -130,6 +132,7 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
 
 def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> dict:
     """Frequency-domain pipeline: spectrum, axis scan, growth exponent."""
+    check_dense_cap(2 * half_dimension(cfg.bc, cfg.n))  # the dense spectrum, before assembly
     if system is None:
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
     cid = config_id(cfg)
@@ -227,6 +230,7 @@ def _sweep_point(cfg: RunConfig) -> dict:
     row.update(config_id=config_id(cfg), bc=cfg.bc.value, n=cfg.n, status="ok", error="")
     stage = "assemble"
     try:
+        check_dense_cap(2 * half_dimension(cfg.bc, cfg.n))  # the spectrum's, before assembly
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
         stage = "simulate"
         report = simulate_run(cfg, system=system)

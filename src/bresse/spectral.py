@@ -4,8 +4,8 @@ The spectrum comes from one dense real Schur factorization of the
 energy-weighted generator F A F^{-1} (M = F^T F), filled from one Cholesky
 factor of the half-size stiffness without forming A, M or F.  Energy-norm
 resolvents build no dense matrix: (i lam - A) U = f is Q q = R f_p +
-(i lam R + C) f_q, p = i lam q - f_q, with Q = K - lam^2 R + i lam C banded
-in node order, one LU per frequency.  The energy adjoint
+(i lam R + C) f_q, p = i lam q - f_q, Q = K - lam^2 R + i lam C the energy
+pencil at i lam: one banded LU per frequency.  The energy adjoint
 -(i lam - A~)^{-1} (A~: damping -C) reuses it with Q^H, Q being complex
 symmetric, and Lanczos on S* S, S the resolvent, gives the norm squared.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import bordered_band_solver, check_dense_cap, node_band
+from .discretize import check_dense_cap, pencil_solver
 
 RESONANCE_RTOL = 1e-14
 LANCZOS_RTOL = 1e-10     # Ritz residual over Ritz value at convergence
@@ -99,18 +99,18 @@ def on_axis(system, eigs: np.ndarray) -> np.ndarray:
 
 def _axis_resolvent(system):
     """norm(lam), the energy-norm resolvent at i lam.  States x = [q; p] hold
-    both halves in node order; the energy product is x_q^H K y_q + x_p^H R y_p."""
-    parts, (perm, K, band, kl) = system.parts, node_band(system.parts)
-    R, C, G, m = parts.mass[perm], parts.damping[perm], parts.border[perm], perm.size
+    both halves in node order; the energy product is x_q^H K y_q + x_p^H R y_p.
+    The Lanczos start is fixed and generic: it misses no symmetry class."""
+    parts = system.parts
+    K, R, C, m = parts.stiffness, parts.mass, parts.damping, parts.mass.size
     start = system.node_state(np.random.default_rng(0).standard_normal(system.dimension))
-    start = start[np.concatenate([perm, m + perm])]  # fixed and generic: misses no symmetry class
     gram = lambda x: np.concatenate([K @ x[:m], R * x[m:]])  # noqa: E731
     floor = resonance_floor(system, 0.0)
 
     def norm(lam: float) -> float:
         il = 1j * lam
         try:
-            lu_solve = bordered_band_solver(band, kl, G, il * (il * R + C))
+            lu_solve = pencil_solver(parts, il)
         except np.linalg.LinAlgError:
             raise ResonantFrequencyError(lam, 0.0) from None
 
@@ -225,15 +225,14 @@ class GrowthFit:
     n_used: int
 
 
-def fit_growth_exponent(lambdas, norms, window=None,
-                        bins_per_decade: int | None = BINS_PER_DECADE) -> GrowthFit:
+def fit_growth_exponent(lambdas, norms, window=None) -> GrowthFit:
     """Least-squares slope of log r against log lambda near the top of the
     scanned band, with a 95 percent confidence interval.
 
     window: None for the top half decade, a float f for the top f fraction
-    of the log range, or an explicit (lam_lo, lam_hi) pair.  With binning
-    enabled only the per-bin envelope maxima enter the fit, which keeps
-    valley samples from biasing the slope of a peaky resolvent curve.
+    of the log range, or an explicit (lam_lo, lam_hi) pair.  Only the
+    envelope maxima of the log bins enter the fit, which keeps valley
+    samples from biasing the slope of a peaky resolvent curve.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     norms = np.asarray(norms, dtype=float)
@@ -248,11 +247,9 @@ def fit_growth_exponent(lambdas, norms, window=None,
     keep = (lambdas >= lam_lo * (1 - 1e-12)) & (lambdas <= lam_hi * (1 + 1e-12))
     x = np.log(lambdas[keep])
     y = np.log(norms[keep])
-    if bins_per_decade:
-        bins = np.floor(x / np.log(10.0) * bins_per_decade).astype(int)
-        pick = [np.flatnonzero(bins == b)[np.argmax(y[bins == b])]
-                for b in np.unique(bins)]
-        x, y = x[pick], y[pick]
+    bins = np.floor(x / np.log(10.0) * BINS_PER_DECADE).astype(int)
+    pick = [np.flatnonzero(bins == b)[np.argmax(y[bins == b])] for b in np.unique(bins)]
+    x, y = x[pick], y[pick]
     m = x.size
     if m < 8:
         raise ValueError(f"growth fit window holds {m} samples, need at least 8")

@@ -41,6 +41,7 @@ from conftest import (
     DDD,
     DNN,
     beam,
+    endpoint_balance_defect,
     interval,
     least_damped_mode,
     record,
@@ -104,9 +105,9 @@ def test_criterion_2_energy_balance_residual():
     the endpoint-average form (residual ratio 4 when dt halves)."""
     system = system_for(beam(), interval(), DNN, 30)
     U0 = make_initial(system, RandomSmooth(seed=3))
-    residual = energy_balance_residual(system, U0, 1e-3, 200, mode="midpoint")
-    coarse = energy_balance_residual(system, U0, 2e-3, 100, mode="trapezoid_rate")
-    fine = energy_balance_residual(system, U0, 1e-3, 200, mode="trapezoid_rate")
+    residual = energy_balance_residual(system, U0, 1e-3, 200)
+    coarse = endpoint_balance_defect(system, U0, 2e-3, 100)
+    fine = endpoint_balance_defect(system, U0, 1e-3, 200)
     ratio = coarse / fine
     ok = residual <= 1e-8 and 3.5 <= ratio <= 4.5
     record(2, "per-step energy balance", ok,

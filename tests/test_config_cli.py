@@ -9,7 +9,7 @@ import pytest
 import scipy.io
 import scipy.linalg
 
-from bresse import cli, discretize, evolve, spectral
+from bresse import cli, discretize, evolve, runner, spectral
 from bresse.config import (
     ConfigError,
     auto_dt,
@@ -130,6 +130,14 @@ def test_auto_dt_formula():
     (lambda r: r.update(T=0.0), "T must be positive"),
     (lambda r: r.update(dt=-0.5), "dt must be positive"),
     (lambda r: r.update(seed="x"), "seed must be an integer"),
+    (lambda r: r.update(seed=-1), "seed must be an integer >= 0"),
+    (lambda r: r.update(T=None), "T must be a finite number"),
+    (lambda r: r.update(T=[1]), "T must be a finite number"),
+    (lambda r: r.update(T="inf"), "T must be a finite number"),
+    (lambda r: r.update(dt=None), "dt must be a finite number"),
+    (lambda r: r["params"].update(kappa=None), "params.kappa must be a finite number"),
+    (lambda r: r["profile"].update(alpha=None), "profile.alpha must be a finite number"),
+    (lambda r: r["profile"].update(a0=[1]), "profile.a0 must be a finite number"),
     (lambda r: r["lambda_grid"].update(step=2), "lambda_grid holds"),
     (lambda r: r["lambda_grid"].update(spacing="linear"), "log spacing"),
     (lambda r: r["lambda_grid"].update(count=1), ">= 2"),
@@ -137,6 +145,8 @@ def test_auto_dt_formula():
     (lambda r: r["lambda_grid"].update(count="48"), "count must be an integer"),
     (lambda r: r["lambda_grid"].update(count=True), "count must be an integer"),
     (lambda r: r["lambda_grid"].update(min=0.0), "must be positive"),
+    (lambda r: r["lambda_grid"].update(min=None), "lambda_grid.min must be a finite number"),
+    (lambda r: r["lambda_grid"].update(max="nan"), "lambda_grid.max must be a finite number"),
     (lambda r: r["lambda_grid"].update(max=0.5), "exceed min"),
 ])
 def test_parse_rejections(mangle, needle):
@@ -157,6 +167,14 @@ def test_cli_rejects_degenerate_geometry(tmp_path, capsys):
     path, _ = write_cfg(tmp_path, params={"l": 1.0, "L": float(np.pi)})
     assert cli.main(["simulate", path]) == 2
     assert "pi/l" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", [None, "inf"])
+def test_cli_malformed_number_exit_code(tmp_path, capsys, T):
+    path, raw = write_cfg(tmp_path, T=T)
+    assert cli.main(["simulate", path]) == 2
+    assert "T must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(raw["outputs"])
 
 
 def test_cli_config_argument_spellings(tmp_path, capsys):
@@ -233,22 +251,31 @@ def test_cli_spectrum_undamped_flag(tmp_path, capsys):
     assert not os.path.exists(os.path.join(raw["outputs"], "resolvent.csv"))
 
 
-def test_cli_spectrum_dense_cap_exit_code(tmp_path, capsys):
+def no_assembly(*args, **kwargs):
+    raise AssertionError("a size above the dense cap was assembled")
+
+
+def test_cli_spectrum_dense_cap_exit_code(tmp_path, capsys, monkeypatch):
+    """Refused from (bc, n) alone, before the system is assembled."""
+    monkeypatch.setattr(runner, "assemble", no_assembly)
     path, _ = write_cfg(tmp_path, n=601)
     assert cli.main(["spectrum", path]) == 3
     assert "smaller n" in capsys.readouterr().err
 
 
 def test_cli_dump_operators_refused_above_dense_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(discretize, "DENSE_CAP", 10)
+    monkeypatch.setattr(runner, "assemble", no_assembly)
+    monkeypatch.setattr(discretize, "DENSE_CAP", 40)  # DNN n = 8: size 46, half size 23
     path, raw = write_cfg(tmp_path, n=8)
     assert cli.main(["simulate", path, "--dump-operators"]) == 3
     assert "smaller n" in capsys.readouterr().err
-    assert not [f for f in os.listdir(raw["outputs"]) if f.endswith(".mtx")]
+    assert not os.path.exists(raw["outputs"])  # no .mtx file, nor any other
 
 
 def test_cli_simulate_refused_above_dense_cap(tmp_path, capsys, monkeypatch):
-    """The initial state's dense half-size eigensolve is refused like A and M."""
+    """The initial state's dense half-size eigensolve is refused like A and M,
+    before the system is assembled."""
+    monkeypatch.setattr(runner, "assemble", no_assembly)
     monkeypatch.setattr(discretize, "DENSE_CAP", 20)  # DNN n = 8: half size 23
     path, raw = write_cfg(tmp_path, n=8)
     assert cli.main(["simulate", path]) == 3
@@ -388,6 +415,20 @@ def test_sweep_continues_past_failing_point(tmp_path):
     assert sorted(c[9] for c in rows) == ["error", "ok"]
     bad = next(c for c in rows if c[9] == "error")
     assert bad[10].startswith("spectrum: ValueError: ")
+
+
+def test_sweep_point_refused_above_dense_cap(tmp_path, monkeypatch):
+    """A point whose spectrum exceeds the dense cap keeps an error row and
+    is refused before its system is assembled."""
+    monkeypatch.setattr(runner, "assemble", no_assembly)
+    monkeypatch.setattr(discretize, "DENSE_CAP", 40)  # DNN n = 8: size 46, half size 23
+    spec_dict = sweep_raw(tmp_path, {"n": [8]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec_dict))
+    atlas = sweep_run(load_sweep(str(path)))
+    rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
+    assert [c[9] for c in rows] == ["error"]
+    assert rows[0][10].startswith("assemble: DenseSolverCapError: ")
 
 
 def test_sweep_validation():

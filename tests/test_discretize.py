@@ -16,6 +16,8 @@ from bresse.discretize import (
     difference_operator,
     dirichlet_embedding,
     endpoint_selectors,
+    half_dimension,
+    pencil_solver,
     to_nodes,
 )
 from bresse.evolve import undamped_modes
@@ -289,3 +291,25 @@ def test_field_values_roundtrip_and_unknown_name():
     np.testing.assert_array_equal(phi[1:-1], U[system.slices["phi"]])
     with pytest.raises(KeyError):
         system.field_values(U, "theta")
+
+
+@pytest.mark.parametrize("sigma", [0.5 + 40j, 7.0])
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_pencil_solver_matches_dense_bordered_solve(bc, sigma):
+    """Off the imaginary axis too, at a shifted complex sigma (the form
+    delta + i nu of a shift-invert step) and at a real one, the bordered
+    banded factor of Q = K + sigma C + sigma^2 R solves [[Q, G], [G^T, 0]]
+    and its adjoint like a dense solve of the same bordered system."""
+    rng = np.random.default_rng(4)
+    for n in (8, 12):
+        system = system_for(beam(), interval(), bc, n)
+        parts = system.parts
+        assert system.dimension == 2 * half_dimension(bc, n)
+        m, k = parts.mass.size, parts.border.shape[1]
+        Q = parts.stiffness.toarray() + np.diag(sigma * parts.damping + sigma ** 2 * parts.mass)
+        bordered = np.block([[Q, parts.border], [parts.border.T, np.zeros((k, k))]])
+        solve = pencil_solver(parts, sigma)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for adjoint, matrix in ((False, bordered), (True, bordered.conj().T)):
+            expected = np.linalg.solve(matrix, np.concatenate([b, np.zeros(k)]))[:m]
+            assert np.linalg.norm(solve(b, adjoint) - expected) <= 1e-12 * np.linalg.norm(expected)

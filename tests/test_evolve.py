@@ -23,7 +23,8 @@ from bresse.evolve import (
 from bresse import discretize
 from bresse.discretize import assemble
 
-from conftest import DDD, DNN, beam, interval, system_for, zeroed_step_parts
+from conftest import (DDD, DNN, beam, endpoint_balance_defect, interval, system_for,
+                      zeroed_step_parts)
 
 
 def _anti_damped(a0):
@@ -285,15 +286,15 @@ def test_custom_initial_data_used_as_is():
 def test_midpoint_balance_identity_is_exact():
     system = system_for(beam(), interval(), DNN, 12)
     U0 = make_initial(system, RandomSmooth(seed=3))
-    res = energy_balance_residual(system, U0, 1e-3, 200, mode="midpoint")
+    res = energy_balance_residual(system, U0, 1e-3, 200)
     assert res <= 1e-12
 
 
 def test_rate_balance_residual_second_order():
     system = system_for(beam(), interval(), DNN, 12)
     U0 = make_initial(system, RandomSmooth(seed=3))
-    coarse = energy_balance_residual(system, U0, 2e-3, 100, mode="trapezoid_rate")
-    fine = energy_balance_residual(system, U0, 1e-3, 200, mode="trapezoid_rate")
+    coarse = endpoint_balance_defect(system, U0, 2e-3, 100)
+    fine = endpoint_balance_defect(system, U0, 1e-3, 200)
     assert 3.5 <= coarse / fine <= 4.5
 
 

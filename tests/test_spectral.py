@@ -283,7 +283,7 @@ def test_growth_exponent_exact_on_synthetic_power_law():
 def test_growth_exponent_needs_enough_samples():
     lam = np.geomspace(50.0, 100.0, 30)
     with pytest.raises(ValueError, match="at least 8"):
-        fit_growth_exponent(lam, lam ** 2, window=(99.0, 100.0), bins_per_decade=None)
+        fit_growth_exponent(lam, lam ** 2, window=(99.0, 100.0))
 
 
 def test_growth_ratio_synthetic():
