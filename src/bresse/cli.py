@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 invalid configuration or inputs, 3 numerical
-failure (blowup, resonance, dense-solver cap, a failed factorization).
+failure (blowup, resonance, dense-solver cap, a failed factorization) or a
+sweep worker process that died.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .config import ConfigError, load_config, load_sweep
 from .discretize import AdmissibilityError, DenseSolverCapError
 from .evolve import EnergyMonotonicityError, NumericalBlowupError, SingularStepError
 from .plots import PlotInputError, emit_plots
-from .runner import simulate_run, spectrum_run, sweep_run
+from .runner import SweepWorkerError, simulate_run, spectrum_run, sweep_run
 from .spectral import ResonantFrequencyError
 
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, PlotInputError, ValueError)
@@ -62,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a parameter grid and write atlas.csv")
     _config_arg(swp, "sweep")
     swp.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored: points and scans run in one thread (N >= 1)")
+                     help="accepted and ignored: points run in one forked process per "
+                          "available CPU; restrict the CPU set to use fewer (N >= 1)")
 
     plt = sub.add_parser("plots", help="emit gnuplot scripts into a run directory")
     plt.add_argument("directory", help="directory holding the run CSV files")
@@ -92,13 +94,17 @@ def main(argv=None) -> int:
             print(f"spectral abscissa {summary['spectral_abscissa']:.6e}"
                   + (f", alpha {summary['alpha_fit']:.3f}" if summary["alpha_fit"] is not None else ""))
         elif args.command == "sweep":
-            atlas = sweep_run(load_sweep(_config_path(args, "sweep")))
-            print(f"wrote {atlas}")
+            result = sweep_run(load_sweep(_config_path(args, "sweep")))
+            print(f"wrote {result.atlas} ({result.points} points, "
+                  f"{result.processes} processes)")
         elif args.command == "plots":
             for path in emit_plots(args.directory):
                 print(f"wrote {path}")
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
+    except SweepWorkerError as err:
+        print(f"sweep failed: {err}", file=sys.stderr)
         return 3
     except _CONFIG_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

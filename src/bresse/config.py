@@ -20,6 +20,8 @@ from .model import (
 
 _PARAM_KEYS = ("rho1", "rho2", "kappa", "kappa0", "b", "l", "L")
 _TOP_KEYS = {"params", "profile", "bc", "n", "dt", "T", "seed", "lambda_grid", "outputs"}
+# largest T / dt a config may ask for: about 1.5 h of stepping at n = 100
+MAX_STEPS = 10**8
 
 
 class ConfigError(ValueError):
@@ -64,7 +66,7 @@ def _is_int(value) -> bool:
 def _number(value, name: str) -> float:
     """value as a finite float, or ConfigError naming the key."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     _require(math.isfinite(number), f"{name} must be a finite number, got {value!r}")
@@ -122,6 +124,9 @@ def parse_config(raw: dict) -> RunConfig:
     else:
         dt = _number(dt_raw, "dt")
         _require(dt > 0, "dt must be positive or the string 'auto'")
+    steps = T / dt
+    _require(steps <= MAX_STEPS,  # also false for an overflow to inf
+             f"T / dt asks for {steps:.3g} time steps, above the cap {MAX_STEPS:.0e}")
 
     seed = raw.get("seed", 0)
     _require(_is_int(seed) and seed >= 0, "seed must be an integer >= 0")

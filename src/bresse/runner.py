@@ -6,9 +6,14 @@ two-space-indented JSON) so that identical configs rerun to identical bytes.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+import signal
+import sys
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -249,19 +254,67 @@ def _sweep_point(cfg: RunConfig) -> dict:
     return row
 
 
-def sweep_run(spec: SweepSpec) -> str:
-    """Run every sweep point in config order, then write one atlas row each.
+class SweepWorkerError(RuntimeError):
+    """A sweep's worker process died before it returned its point."""
 
-    Rows are sorted by config id; failed points keep their row with the
-    error message instead of aborting the sweep.
+
+@dataclass(frozen=True)
+class SweepResult:
+    atlas: str
+    points: int
+    processes: int
+
+
+def sweep_run(spec: SweepSpec) -> SweepResult:
+    """Run every sweep point, then write one atlas row each.
+
+    Points run in forked worker processes, one per CPU this process may use
+    (at most one per point), largest mesh first. With one CPU, where
+    ``fork`` is unavailable, or while another thread runs (a fork would copy
+    the locks it holds), they run in this process. Rows are sorted by config
+    id, so the atlas does not depend on the order points finish in; failed
+    points keep their row with the error message instead of aborting the
+    sweep. A worker that dies raises SweepWorkerError, and no atlas is
+    written.
     """
-    configs = expand_sweep(spec)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    import scipy.special  # noqa: F401 -- the points' only lazy import, loaded once before the fork
+
+    configs = sorted(expand_sweep(spec), key=lambda cfg: -cfg.n)
     os.makedirs(spec.outputs, exist_ok=True)
-    rows = sorted((_sweep_point(cfg) for cfg in configs),
-                  key=lambda row: row["config_id"])
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    processes = min(len(configs), cpus)
+    if (processes < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        processes = 1
+        rows = list(map(_sweep_point, configs))
+    else:
+        parent = os.getpid()
+
+        def die_with_parent():
+            # a worker blocks on the task queue for ever once its parent is killed
+            ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+            if os.getppid() != parent:  # killed before the call above
+                os._exit(1)
+
+        linux = sys.platform == "linux"
+        try:
+            with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
+                                     initializer=die_with_parent if linux else None) as pool:
+                rows = list(pool.map(_sweep_point, configs))
+        except BrokenProcessPool:
+            raise SweepWorkerError("a worker process died before returning its point; "
+                                   "no atlas written") from None
+    rows.sort(key=lambda row: row["config_id"])
     lines = [",".join(ATLAS_COLUMNS)]
     lines += [",".join(_atlas_cell(row[c]) for c in ATLAS_COLUMNS) for row in rows]
     atlas = os.path.join(spec.outputs, "atlas.csv")
     with open(atlas, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return atlas
+    return SweepResult(atlas, len(configs), processes)

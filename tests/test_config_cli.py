@@ -3,6 +3,8 @@
 import copy
 import json
 import os
+import signal
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,11 @@ def test_auto_dt_formula():
     (lambda r: r["lambda_grid"].update(min=None), "lambda_grid.min must be a finite number"),
     (lambda r: r["lambda_grid"].update(max="nan"), "lambda_grid.max must be a finite number"),
     (lambda r: r["lambda_grid"].update(max=0.5), "exceed min"),
+    (lambda r: r.update(T=True), "T must be a finite number, got True"),
+    (lambda r: r["params"].update(rho1=True), "params.rho1 must be a finite number"),
+    (lambda r: r["profile"].update(a0=True), "profile.a0 must be a finite number, got True"),
+    (lambda r: r.update(T=1e308), "inf time steps, above the cap"),
+    (lambda r: r.update(T=2.0, dt=1e-8), "2e[+]08 time steps, above the cap"),
 ])
 def test_parse_rejections(mangle, needle):
     raw = base_raw()
@@ -174,6 +181,14 @@ def test_cli_malformed_number_exit_code(tmp_path, capsys, T):
     path, raw = write_cfg(tmp_path, T=T)
     assert cli.main(["simulate", path]) == 2
     assert "T must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(raw["outputs"])
+
+
+def test_cli_refuses_step_count_above_cap(tmp_path, capsys):
+    path, raw = write_cfg(tmp_path, bc="DDD", n=8, T=1e308)
+    assert cli.main(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert "time steps, above the cap" in err and "Traceback" not in err
     assert not os.path.exists(raw["outputs"])
 
 
@@ -393,7 +408,7 @@ def test_sweep_expansion_regimes(tmp_path):
         assert cfg.outputs.startswith(spec_dict["outputs"])
         assert os.path.basename(cfg.outputs) == config_id(cfg)[:12]
 
-    atlas = sweep_run(spec)
+    atlas = sweep_run(spec).atlas
     rows = open(atlas).read().splitlines()
     assert rows[0] == ",".join(ATLAS_COLUMNS)
     assert len(rows) == 5
@@ -410,7 +425,7 @@ def test_sweep_continues_past_failing_point(tmp_path):
     spec_dict = sweep_raw(tmp_path, {"lambda_grid.min": [1.0, 1e9]})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec_dict))
-    atlas = sweep_run(load_sweep(str(path)))
+    atlas = sweep_run(load_sweep(str(path))).atlas
     rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
     assert sorted(c[9] for c in rows) == ["error", "ok"]
     bad = next(c for c in rows if c[9] == "error")
@@ -425,10 +440,134 @@ def test_sweep_point_refused_above_dense_cap(tmp_path, monkeypatch):
     spec_dict = sweep_raw(tmp_path, {"n": [8]})
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec_dict))
-    atlas = sweep_run(load_sweep(str(path)))
+    atlas = sweep_run(load_sweep(str(path))).atlas
     rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
     assert [c[9] for c in rows] == ["error"]
     assert rows[0][10].startswith("assemble: DenseSolverCapError: ")
+
+
+def test_pooled_sweep_matches_in_process(tmp_path, capsys, monkeypatch):
+    """Four points, the largest refused by the dense cap: forked workers
+    write the same files, byte for byte, as the in-process map."""
+    import shutil
+
+    monkeypatch.setattr(discretize, "DENSE_CAP", 60)  # DNN size 6n - 2: n = 12 is refused
+    spec_dict = sweep_raw(tmp_path, {"n": [6, 8, 10, 12]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec_dict))
+    spec = load_sweep(str(path))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = sweep_run(spec)
+    assert (serial.points, serial.processes) == (4, 1)
+    in_process = snapshot(spec.outputs)
+    rows = [r.split(",") for r in in_process["atlas.csv"].decode().splitlines()[1:]]
+    assert sorted(c[9] for c in rows) == ["error", "ok", "ok", "ok"]
+
+    shutil.rmtree(spec.outputs)
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert cli.main(["sweep", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("(4 points, 4 processes)\n")
+    assert snapshot(spec.outputs) == in_process
+
+
+def test_dead_sweep_worker_exits_3(tmp_path, capsys, monkeypatch):
+    """A worker killed mid-point ends the sweep with exit 3, one line on
+    stderr and no atlas; the forked workers inherit the patched runner."""
+    simulate_point, parent = runner.simulate_run, os.getpid()
+
+    def die_on_n10(cfg, **kwargs):
+        if cfg.n == 10 and os.getpid() != parent:  # never kill the test process itself
+            os._exit(1)
+        return simulate_point(cfg, **kwargs)
+
+    monkeypatch.setattr(runner, "simulate_run", die_on_n10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    spec_dict = sweep_raw(tmp_path, {"n": [8, 10]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec_dict))
+    assert cli.main(["sweep", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sweep failed: a worker process died")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not os.path.exists(os.path.join(spec_dict["outputs"], "atlas.csv"))
+
+
+def test_sweep_does_not_fork_beside_another_thread(tmp_path, monkeypatch):
+    import threading
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    spec_dict = sweep_raw(tmp_path, {"n": [6, 8]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec_dict))
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        result = sweep_run(load_sweep(str(path)))
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert (result.points, result.processes) == (2, 1)
+    assert not waiter.is_alive()
+
+
+HANGING_SWEEP = """
+import os, sys, time
+from bresse import cli, runner
+
+def hang(cfg, **kwargs):
+    pid_file = os.path.join(sys.argv[2], f"worker{cfg.n}.pid")
+    with open(pid_file + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(pid_file + ".tmp", pid_file)
+    time.sleep(120)
+
+runner.simulate_run = hang
+os.sched_getaffinity = lambda pid: {0, 1}
+cli.main(["sweep", sys.argv[1]])
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the parent-death signal is Linux's")
+def test_sweep_workers_die_with_a_killed_parent(tmp_path):
+    """A sweep killed from outside leaves no worker blocked on its queue."""
+    import subprocess
+    import time
+
+    spec_dict = sweep_raw(tmp_path, {"n": [8, 10]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec_dict))
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    proc = subprocess.Popen([sys.executable, "-c", HANGING_SWEEP, str(path), str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": src})
+    pid_files = [tmp_path / "worker8.pid", tmp_path / "worker10.pid"]
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while not all(f.exists() for f in pid_files) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pids = [int(f.read_text()) for f in pid_files]
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        proc.kill()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_sweep_validation():
