@@ -20,7 +20,7 @@ from .model import (
 
 _PARAM_KEYS = ("rho1", "rho2", "kappa", "kappa0", "b", "l", "L")
 _TOP_KEYS = {"params", "profile", "bc", "n", "dt", "T", "seed", "lambda_grid", "outputs"}
-# largest T / dt a config may ask for: about 1.5 h of stepping at n = 100
+# largest T / dt a config may ask for: about 35 min of stepping at n = 100
 MAX_STEPS = 10**8
 
 

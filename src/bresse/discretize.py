@@ -31,10 +31,12 @@ the stored values sit node by node: K = S^T W S, also in band storage, the
 mass R, the damping C and the energy and dissipation roots are sparse and
 banded, and the DNN mean-zero constraints are two border rows.  Stepping
 and resolvent scans factor the pencil K + sigma C + sigma^2 R there, with
-pencil_solver.  The reduced coordinates, the public state, expand the DNN
-fields in an orthonormal mean-zero basis built from one Householder
-reflector, so to_nodes and to_reduced convert states in O(n); the dense A
-and M are built only on request, for operator dumps and test oracles.
+pencil_solver: by banded Cholesky at the stepper's real sigma = 2/dt, by
+banded LU at the scan's sigma = i lam.  The reduced coordinates, the public
+state, expand the DNN fields in an orthonormal mean-zero basis built from
+one Householder reflector, so to_nodes and to_reduced convert states in
+O(n); the dense A and M are built only on request, for operator dumps and
+test oracles.
 """
 
 from __future__ import annotations
@@ -264,20 +266,40 @@ def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
 def pencil_solver(parts: NodeParts, sigma: complex):
     """solve(b, adjoint=False) for [Q G; G^T 0] [x; *] = [b; 0] with the energy
     pencil Q = K + sigma C + sigma^2 R (R the mass, C the damping) in node
-    order and G the border: one banded LU with partial pivoting (gbtrf), the
-    border by block elimination with Z = Q^-1 G, reused as conj(Z) for
-    Q^H = conj(Q).  A zero pivot or a singular G^T Z raises LinAlgError."""
+    order and G the border.
+
+    A real sigma is factored by banded Cholesky (pbtrf) on the upper half of
+    the band storage, and a complex right-hand side goes through one pbtrs
+    as two real columns.  A complex sigma, and a real one whose Q is not
+    positive definite (only an anti-damped C makes it so), are factored by
+    banded LU with partial pivoting (gbtrf).  The border goes by block
+    elimination with Z = Q^-1 G, reused as conj(Z) for Q^H = conj(Q).  A
+    zero pivot or a singular G^T Z raises LinAlgError."""
     kl = parts.bandwidth
-    ab = np.zeros((3 * kl + 1, parts.band.shape[1]), dtype=np.result_type(parts.band, sigma))
-    ab[kl:] = parts.band  # the top kl rows are room for the pivots
-    ab[2 * kl] += sigma * (sigma * parts.mass + parts.damping)
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"zero pivot {info}")
+    diagonal = sigma * (sigma * parts.mass + parts.damping)
+    real, banded = np.isrealobj(sigma), None
+    if real:
+        ab = parts.band[:kl + 1].copy()  # the upper band, diagonal in row kl
+        ab[kl] += diagonal
+        pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        chol, info = pbtrf(ab, overwrite_ab=True)
+        if info == 0:
+            def banded(b, adjoint):  # Q is real symmetric: Q^H = Q
+                return pbtrs(chol, b)[0]
+    if banded is None:
+        ab = np.zeros((3 * kl + 1, parts.band.shape[1]), dtype=np.result_type(parts.band, sigma))
+        ab[kl:] = parts.band  # the top kl rows are room for the pivots
+        ab[2 * kl] += diagonal
+        gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"zero pivot {info}")
+
+        def banded(b, adjoint):
+            return gbtrs(lu, kl, kl, b, piv, trans=2 if adjoint else 0)[0]
     border, corrections = parts.border, None
     if border.shape[1]:
-        Z = gbtrs(lu, kl, kl, border, piv)[0]
+        Z = banded(border, False)
         try:
             W = np.linalg.solve(border.T @ Z, border.T)
         except np.linalg.LinAlgError as err:
@@ -285,10 +307,12 @@ def pencil_solver(parts: NodeParts, sigma: complex):
         corrections = (Z, W), (Z.conj(), W.conj())
 
     def solve(b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        if ab.dtype.kind == "f" and b.dtype.kind == "c":  # real factors: solve the parts apart
-            x = gbtrs(lu, kl, kl, b.real, piv)[0] + 1j * gbtrs(lu, kl, kl, b.imag, piv)[0]
+        if real and b.dtype.kind == "c":  # solve the parts as columns of one call
+            B = b.reshape(b.shape[0], -1)
+            X = banded(np.hstack([B.real, B.imag]), adjoint)
+            x = (X[:, :B.shape[1]] + 1j * X[:, B.shape[1]:]).reshape(b.shape)
         else:
-            x = gbtrs(lu, kl, kl, b, piv, trans=2 if adjoint else 0)[0]
+            x = banded(b, adjoint)
         if corrections is not None:
             Z, W = corrections[adjoint]
             x -= Z @ (W @ x)

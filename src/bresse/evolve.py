@@ -10,9 +10,12 @@ to rounding, where D is the damping quadrature, so undamped runs conserve
 energy and damped runs dissipate it monotonically at machine precision.
 
 ``simulate`` converts its initial state once to node coordinates and runs
-the whole loop there: each step is one solve with the energy pencil at
-sigma = 2/dt, an in-place update of x = [q; p] and one sparse product that
-yields the next right-hand side and the energy and dissipation of the state.
+the whole loop there: each step is one sparse product for the right-hand
+side, one banded Cholesky solve with the energy pencil at sigma = 2/dt and
+the update of x = [q; p], written into the next row of a block of BLOCK
+states.  Once per block, one product of the block with each of the energy
+and damping roots gives the energy and dissipation of all its states, and
+the guards check every step from those.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .config import auto_dt
 from .discretize import DiscreteSystem, pencil_solver
@@ -41,6 +45,7 @@ class SingularStepError(RuntimeError):
 
 
 SMOOTH_FRACTION = 0.1
+BLOCK = 64  # states stepped between two energy checks
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def make_initial(system: DiscreteSystem, spec: InitialData) -> np.ndarray:
 
 
 class MidpointStepper:
-    """Banded-LU one-step map for a fixed step size.
+    """Banded one-step map for a fixed step size.
 
     With nodal mass R, damping C, stiffness K, the DNN border rows G and
     Q = K + sigma C + sigma^2 R at sigma = 2/dt, the new velocity solves
@@ -116,9 +121,11 @@ class MidpointStepper:
         [G^T  0] [ * ] = [                   0                     ],
 
     q+ = q + (p + p+) / sigma: the Cayley step of A in node coordinates,
-    factored by ``pencil_solver`` (pivoted: anti-damped, Q is indefinite).
-    ``rows`` maps x = [q; p] to the right-hand side and the energy and
-    damping roots of x.  ``step`` maps reduced vectors or columns, also complex.
+    factored by ``pencil_solver``.  For dt > 0 and a dissipative C, Q is
+    positive definite and the factor is a banded Cholesky; an anti-damped Q
+    can be indefinite, and then the factor is a pivoted LU.  ``rows`` maps
+    x = [q; p] to the right-hand side.  ``step`` maps reduced vectors or
+    columns, also complex.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -131,28 +138,31 @@ class MidpointStepper:
             self._solve = pencil_solver(parts, sigma)
         except np.linalg.LinAlgError as err:
             raise SingularStepError(f"step matrix at dt={dt:g} is singular: {err}") from err
-        K, m = parts.stiffness, parts.mass.size
-        self._nodes, self._energy_stop = m, m + parts.energy_root.shape[0]
+        K, self._nodes = parts.stiffness, parts.mass.size
         diagonal = sigma * (sigma * parts.mass - parts.damping)
-        self.rows = sp.vstack([sp.hstack([(-2.0 * sigma) * K, sp.diags(diagonal) - K]),
-                               parts.energy_root, parts.damping_root], format="csr")
+        self.rows = sp.hstack([(-2.0 * sigma) * K, sp.diags(diagonal) - K], format="csr")
 
-    def advance(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Step the node state x in place, given y = rows @ x."""
-        m = self._nodes
-        sol = self._solve(y[:m])
-        x[:m] += (x[m:] + sol) / self.sigma
-        x[m:] = sol
-
-    def energy_and_damping_root(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """E of the state behind y = rows @ x, and g with D = |g|^2."""
-        e = y[self._nodes:self._energy_stop]
-        return 0.5 * float(e @ e), y[self._energy_stop:]
+    def advance(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the node state one step after x = [q; p] into out."""
+        m, rows = self._nodes, self.rows
+        if x.ndim == 1 and x.dtype == np.float64 and x.flags.c_contiguous:
+            # simulate's states: the CSR kernel behind rows @ x, without the
+            # checks and dispatch that make up about 40 % of that product
+            y = np.zeros(m)
+            csr_matvec(m, x.size, rows.indptr, rows.indices, rows.data, x, y)
+        else:
+            y = rows @ x
+        p = self._solve(y)
+        q = np.add(x[m:], p, out=out[:m])
+        q /= self.sigma
+        q += x[:m]
+        out[m:] = p
 
     def step(self, U: np.ndarray) -> np.ndarray:
         x = self.system.node_state(U)
-        self.advance(x, self.rows @ x)
-        return self.system.reduced_state(x)
+        out = np.empty_like(x)
+        self.advance(x, out)
+        return self.system.reduced_state(out)
 
 
 @dataclass
@@ -169,8 +179,11 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     """Run to final time T, sampling energy and dissipation every
     ``sample_stride`` steps (the final state is always sampled).
 
-    Energy is monitored at every step; a rise above 1e-12 * E(0) aborts, as
-    does a non-finite state.  With ``collect_balance`` the largest per-step
+    The states are stepped into a block of BLOCK rows; once the block is
+    full (or the run ends), one product of the block with each root gives
+    the energy and dissipation of all its states.  Every step is checked:
+    a rise above 1e-12 * E(0) aborts, as does a non-finite energy, naming
+    the first step at fault.  With ``collect_balance`` the largest per-step
     defect of E+ - E = -dt D(U_mid), which the scheme satisfies exactly, is
     reported relative to E(0).
     """
@@ -185,37 +198,59 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     U = initial if isinstance(initial, np.ndarray) else make_initial(system, initial)
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
-    x = system.node_state(np.asarray(U, dtype=float))
-    y = stepper.rows @ x
-    E_prev, g_prev = stepper.energy_and_damping_root(y)
-    if not E_prev > 0:
+    parts = system.parts
+    block = np.empty((BLOCK + 1, 2 * parts.mass.size))  # row 0: the state before the block
+    block[0] = system.node_state(np.asarray(U, dtype=float))
+    states = list(block)
+    E, D, g = _block_energies(parts, block[:1])
+    E0 = E[0]
+    if not E0 > 0:
         raise ValueError("initial state carries no energy")
-    E0 = E_prev
     rise_allowance = 1e-12 * E0
 
-    times, energies, dissipations = [0.0], [E_prev], [float(g_prev @ g_prev)]
+    times, energies, dissipations = [np.zeros(1)], [E], [D]
     max_residual = 0.0
+    # a blow-up steps on to the end of its block, where the guards report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, n_steps, BLOCK):
+            count = min(BLOCK, n_steps - done)
+            for j in range(count):
+                stepper.advance(states[j], states[j + 1])
+            E, D, g = _block_energies(parts, block[:count + 1])
+            rise = np.diff(E)
+            bad = ~np.isfinite(E[1:]) | (rise > rise_allowance)
+            if bad.any():
+                j = int(np.argmax(bad))
+                if not math.isfinite(E[j + 1]):
+                    raise NumericalBlowupError(
+                        f"non-finite energy at step {done + j + 1} (dt={dt})")
+                raise EnergyMonotonicityError(
+                    f"energy rose by {rise[j]:.3e} at step {done + j + 1} (dt={dt})")
+            if collect_balance:  # g is linear in the state: g + g+ = 2 g(U_mid)
+                g_sum = g[:, 1:] + g[:, :-1]
+                balance = rise + 0.25 * dt * np.einsum("ij,ij->j", g_sum, g_sum)
+                max_residual = max(max_residual, float(np.abs(balance).max()))
+            k = np.arange(done + 1, done + count + 1)
+            sampled = (k % sample_stride == 0) | (k == n_steps)
+            times.append(k[sampled] * dt)
+            energies.append(E[1:][sampled])
+            dissipations.append(D[1:][sampled])
+            block[0] = block[count]
 
-    for k in range(1, n_steps + 1):
-        stepper.advance(x, y)
-        y = stepper.rows @ x
-        E_next, g_next = stepper.energy_and_damping_root(y)
-        if not math.isfinite(E_next):
-            raise NumericalBlowupError(f"non-finite energy at step {k} (dt={dt})")
-        if E_next > E_prev + rise_allowance:
-            raise EnergyMonotonicityError(
-                f"energy rose by {E_next - E_prev:.3e} at step {k} (dt={dt})")
-        if collect_balance:  # g is linear in the state: g_prev + g_next = 2 g(U_mid)
-            g_sum = g_prev + g_next
-            max_residual = max(max_residual, abs(E_next - E_prev + 0.25 * dt * float(g_sum @ g_sum)))
-        if k % sample_stride == 0 or k == n_steps:
-            times.append(k * dt)
-            energies.append(E_next)
-            dissipations.append(float(g_next @ g_next))
-        E_prev, g_prev = E_next, g_next
-
-    return EnergyTimeSeries(np.asarray(times), np.asarray(energies), np.asarray(dissipations),
+    return EnergyTimeSeries(np.concatenate(times), np.concatenate(energies),
+                            np.concatenate(dissipations),
                             max_residual / E0 if collect_balance else None)
+
+
+def _block_energies(parts, states: np.ndarray):
+    """Energies E, dissipations D and damping roots g (columns, D = |g|^2)
+    of node states given as rows.  The column sums of squares go through
+    BLAS (gemv): as fast as a running sum down each column, with about half
+    its rounding error."""
+    x = np.ascontiguousarray(states.T)  # one copy for both products
+    e, g = parts.energy_root @ x, parts.damping_root @ x
+    e *= e
+    return 0.5 * (np.ones(e.shape[0]) @ e), np.ones(g.shape[0]) @ (g * g), g
 
 
 def energy_balance_residual(system: DiscreteSystem, U0: np.ndarray, dt: float,

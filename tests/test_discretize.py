@@ -5,6 +5,8 @@ over cells and nodes, sharing no code with the matrix assembly; agreement to
 near machine precision pins the Gram matrix to the intended integral.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -293,23 +295,37 @@ def test_field_values_roundtrip_and_unknown_name():
         system.field_values(U, "theta")
 
 
-@pytest.mark.parametrize("sigma", [0.5 + 40j, 7.0])
+@pytest.mark.parametrize("sigma, a0", [pytest.param(0.5 + 40j, 1.0, id="(0.5+40j)"),
+                                       pytest.param(7.0, 1.0, id="7.0"),
+                                       pytest.param(20.0, -30.0, id="20.0-anti-damped")])
 @pytest.mark.parametrize("bc", [DNN, DDD])
-def test_pencil_solver_matches_dense_bordered_solve(bc, sigma):
+def test_pencil_solver_matches_dense_bordered_solve(bc, sigma, a0):
     """Off the imaginary axis too, at a shifted complex sigma (the form
-    delta + i nu of a shift-invert step) and at a real one, the bordered
+    delta + i nu of a shift-invert step) and at real ones, the bordered
     banded factor of Q = K + sigma C + sigma^2 R solves [[Q, G], [G^T, 0]]
-    and its adjoint like a dense solve of the same bordered system."""
+    and its adjoint like a dense solve of the same bordered system, for real
+    and complex vectors and columns.  The real sigma = 7 pencil is positive
+    definite (the Cholesky route); with the damping sign flipped at a0 = 30,
+    sigma = 20 makes it indefinite (the pivoted fallback)."""
     rng = np.random.default_rng(4)
     for n in (8, 12):
-        system = system_for(beam(), interval(), bc, n)
+        system = system_for(beam(), interval(a0=abs(a0)), bc, n)
         parts = system.parts
+        if a0 < 0:
+            parts = dataclasses.replace(parts, damping=-parts.damping)
         assert system.dimension == 2 * half_dimension(bc, n)
         m, k = parts.mass.size, parts.border.shape[1]
         Q = parts.stiffness.toarray() + np.diag(sigma * parts.damping + sigma ** 2 * parts.mass)
+        if np.isrealobj(sigma):
+            assert (np.linalg.eigvalsh(Q)[0] > 0) == (a0 > 0)
         bordered = np.block([[Q, parts.border], [parts.border.T, np.zeros((k, k))]])
         solve = pencil_solver(parts, sigma)
-        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        for adjoint, matrix in ((False, bordered), (True, bordered.conj().T)):
-            expected = np.linalg.solve(matrix, np.concatenate([b, np.zeros(k)]))[:m]
-            assert np.linalg.norm(solve(b, adjoint) - expected) <= 1e-12 * np.linalg.norm(expected)
+        for shape in ((m,), (m, 3)):
+            real = rng.standard_normal(shape)
+            for b in (real, real + 1j * rng.standard_normal(shape)):
+                for adjoint, matrix in ((False, bordered), (True, bordered.conj().T)):
+                    rhs = np.concatenate([b, np.zeros((k,) + shape[1:])])
+                    expected = np.linalg.solve(matrix, rhs)[:m]
+                    got = solve(b, adjoint)
+                    assert got.shape == b.shape
+                    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)

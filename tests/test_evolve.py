@@ -1,12 +1,16 @@
 """Time integration: Cayley oracle, conservation, monotonicity, balance."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bresse import evolve
 from bresse.evolve import (
+    BLOCK,
     Custom,
     EnergyMonotonicityError,
     MidpointStepper,
@@ -44,6 +48,41 @@ def _dense_cayley(system, dt, U):
     if np.iscomplexobj(rhs):
         return scipy.linalg.lu_solve(lu, rhs.real) + 1j * scipy.linalg.lu_solve(lu, rhs.imag)
     return scipy.linalg.lu_solve(lu, rhs)
+
+
+def _stepwise(system, U, dt, n_steps, stepper):
+    """Per-step reference of simulate: the energy and dissipation of every
+    state from stepper.step, system.energy and system.dissipation_rate, the
+    largest balance defect |E+ - E + dt D(U_mid)| / E(0), and the first step
+    whose energy is non-finite or rose above 1e-12 E(0) (None if none)."""
+    E, D, defect, fault = [system.energy(U)], [system.dissipation_rate(U)], 0.0, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            V = stepper.step(U)
+            E.append(system.energy(V))
+            D.append(system.dissipation_rate(V))
+            defect = max(defect, abs(E[k] - E[k - 1] + dt * system.dissipation_rate(0.5 * (U + V))))
+            if fault is None and not (math.isfinite(E[k]) and E[k] <= E[k - 1] + 1e-12 * E[0]):
+                fault = k
+            U = V
+    return np.array(E), np.array(D), defect / E[0], fault
+
+
+class _Overflowing(MidpointStepper):
+    """A stepper that scales the state by 1e300 in its step number AT, inside
+    the second block, so that the energy overflows there; the steps of
+    simulate and of step count alike."""
+    AT = BLOCK + 30
+
+    def __init__(self, system, dt):
+        super().__init__(system, dt)
+        self.steps = 0
+
+    def advance(self, x, out):
+        super().advance(x, out)
+        self.steps += 1
+        if self.steps == self.AT:
+            out *= 1e300
 
 
 def test_step_is_cayley_transform_on_each_mode():
@@ -212,6 +251,58 @@ def test_blowup_guard_triggers():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalBlowupError, match="non-finite"):
             simulate(system, np.full(system.dimension, 1e200), T=1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("sample_stride", [1, 7])
+@pytest.mark.parametrize("n_steps", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_simulate_block_edges_match_per_step_reference(bc, n_steps, sample_stride):
+    """Runs that end one state short of a block, on a block edge, one past
+    it and one past two blocks sample the same times, bit for bit, as a
+    per-step reference, and the same energies, dissipations and balance
+    defect, to 1e-12 E(0)."""
+    system = system_for(beam(kappa0=1.3), interval(a0=2.0), bc, 8)
+    dt = 0.02
+    U = make_initial(system, RandomSmooth(seed=8))
+    series = simulate(system, U, T=n_steps * dt, dt=dt, sample_stride=sample_stride,
+                      collect_balance=True)
+    E, D, defect, fault = _stepwise(system, U, dt, n_steps, MidpointStepper(system, dt))
+    assert fault is None
+    k = [k for k in range(n_steps + 1) if k % sample_stride == 0 or k == n_steps]
+    np.testing.assert_array_equal(series.times, np.array([j * dt for j in k]))
+    assert np.abs(series.energy - E[k]).max() <= 1e-12 * E[0]
+    assert np.abs(series.dissipation - D[k]).max() <= 1e-12 * E[0]
+    assert abs(series.max_balance_residual - defect) <= 1e-12
+
+
+def test_rise_guard_names_first_step_inside_a_block():
+    """A faint anti-damping (a0 = 1e-8) lets the energy of the first mode
+    rise by more than 1e-12 E(0) only once its velocity has grown, inside
+    the second block: simulate names the same step as the per-step check."""
+    system = assemble(beam(), interval(a0=1e-8), DNN, 8)
+    system.parts = dataclasses.replace(system.parts, damping=-system.parts.damping)
+    dt, U = 0.005, make_initial(system, Modal(1))
+    fault = _stepwise(system, U, dt, 3 * BLOCK, MidpointStepper(system, dt))[3]
+    assert fault > BLOCK and fault % BLOCK > 1
+    with pytest.raises(EnergyMonotonicityError, match=f"rose by .* at step {fault} "):
+        simulate(system, U, T=3 * BLOCK * dt, dt=dt)
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_blowup_guard_names_first_step_inside_a_block(bc, monkeypatch):
+    """A state whose energy overflows inside the second block: simulate names
+    that step as the per-step check does, and the steps it runs on to the
+    end of the block, through infinities and NaNs, print no floating-point
+    warning."""
+    system = system_for(beam(), interval(), bc, 8)
+    dt, U = 0.02, make_initial(system, RandomSmooth(seed=2))
+    fault = _stepwise(system, U, dt, 3 * BLOCK, _Overflowing(system, dt))[3]
+    assert fault == _Overflowing.AT
+    monkeypatch.setattr(evolve, "MidpointStepper", _Overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBlowupError, match=f"non-finite energy at step {fault} "):
+            simulate(system, U, T=3 * BLOCK * dt, dt=dt)
 
 
 def test_simulate_argument_validation():
