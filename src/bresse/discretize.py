@@ -37,6 +37,12 @@ state, expand the DNN fields in an orthonormal mean-zero basis built from
 one Householder reflector, so to_nodes and to_reduced convert states in
 O(n); the dense A and M are built only on request, for operator dumps and
 test oracles.
+
+The coefficients are uniform and both ends alike, so when the damping is
+symmetric about L/2 the reflection x -> L - x commutes with the system and
+splits it into two invariant sectors; mirror_basis spans each in node
+coordinates, and energy_blocks hands the spectrum one dense block per
+sector.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ from .model import (
 FIELD_NAMES = ("phi", "psi", "omega", "u", "v", "z")
 
 DENSE_CAP = 3600  # largest dimension of a dense square matrix build
+# a ramped damping profile evaluates its two mirror sides a few eps apart
+MIRROR_RTOL = 1e-14
+# phi is even, psi and omega odd under x -> L - x: the strains keep their squares
+MIRROR_PARITY = (1.0, -1.0, -1.0)
 
 
 class AdmissibilityError(ValueError):
@@ -114,6 +124,15 @@ def dirichlet_embedding(n: int) -> sp.csr_matrix:
     return sp.eye(n + 1, n - 1, k=-1, format="csr")
 
 
+def _householder(g: np.ndarray) -> np.ndarray:
+    """Unit vector u of the reflector H = I - 2 u u^T that sends g/|g| to the
+    first coordinate axis; columns 1.. of H span the complement of g."""
+    u = g / np.linalg.norm(g)
+    u[0] -= 1.0
+    u /= np.linalg.norm(u)
+    return u
+
+
 def _reflector(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Unit vector u of the Householder reflector H = I - 2 u u^T that sends
     sqrt(mu)/|sqrt(mu)| to the first coordinate axis, and sqrt(mu) itself.
@@ -123,10 +142,7 @@ def _reflector(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     scaled shift plus one rank-one term, so both coordinate maps cost O(n).
     """
     root = np.sqrt(grid.trapezoid_weights())
-    u = root / np.linalg.norm(root)
-    u[0] -= 1.0
-    u /= np.linalg.norm(u)
-    return u, root
+    return _householder(root), root
 
 
 @dataclass(frozen=True)
@@ -263,6 +279,67 @@ def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[:1] + x.shape[1:])
 
 
+def mirror_image(parts: NodeParts) -> tuple[np.ndarray, np.ndarray]:
+    """(image, sign) of the reflection x -> L - x on node half-states,
+    (J x)[k] = sign[k] x[image[k]], sign the field's MIRROR_PARITY."""
+    image = np.empty(parts.layout.size, dtype=int)
+    sign = np.empty(parts.layout.size)
+    for s, pos in zip(MIRROR_PARITY, parts.node_slices.values()):
+        image[pos], sign[pos] = pos[::-1], s  # stored nodes sit symmetrically
+    return image, sign
+
+
+def mirror_symmetric(parts: NodeParts) -> bool:
+    """Whether J keeps the mass and commutes with the energy-weighted
+    stiffness R^-1/2 K R^-1/2 and damping R^-1 C, each to MIRROR_RTOL of its
+    largest entry.  Uniform coefficients make the stiffness and mass exactly
+    symmetric; the damping profile decides."""
+    image, sign = mirror_image(parts)
+    mass = parts.mass
+    r = sp.diags(1.0 / np.sqrt(mass))
+    K = r @ parts.stiffness @ r
+    J = sp.csr_matrix((sign, (np.arange(image.size), image)), shape=(image.size,) * 2)
+    c = parts.damping / mass
+    return (np.abs(mass[image] - mass).max() <= MIRROR_RTOL * mass.max()
+            and abs(J @ K @ J.T - K).max() <= MIRROR_RTOL * abs(K).max()
+            and np.abs(c[image] - c).max() <= MIRROR_RTOL * np.abs(c).max())
+
+
+def mirror_basis(parts: NodeParts, sign: float) -> tuple[np.ndarray, dict[str, slice]]:
+    """Node half-states X spanning {x : J x = sign x, border^T x = 0}, with
+    X^T R X = I, and the column slice of each field (columns field by field).
+
+    In y = R^1/2 x a column is a mirror pair (e_i + t e_j)/sqrt(2), t the
+    sign times the field's parity, or for t = +1 the mid node that J maps to
+    itself.  A border column (mu on a DNN psi or omega) is symmetric, so it
+    lies in its field's t = +1 sector; there columns 1.. of one Householder
+    reflector of its coefficients drop its direction.
+    """
+    scale = 1.0 / np.sqrt(parts.mass)
+    blocks = []
+    for parity, pos in zip(MIRROR_PARITY, parts.node_slices.values()):
+        t, k = sign * parity, pos.size  # the mirror of row i is row k - 1 - i
+        j, mid = np.arange(k // 2), t > 0 and k % 2 == 1
+        Y = np.zeros((k, j.size + mid))
+        Y[j, j], Y[k - 1 - j, j] = np.sqrt(0.5), t * np.sqrt(0.5)
+        if mid:
+            Y[k // 2, -1] = 1.0
+        Y *= scale[pos, None]
+        G = parts.border[pos]
+        G = G[:, np.any(G, axis=0)]
+        if t > 0 and G.shape[1]:
+            u = _householder(G[:, 0] @ Y)
+            Y = Y[:, 1:] - np.outer(2.0 * (Y @ u), u[1:])
+        blocks.append((pos, Y))
+    X = np.zeros((parts.layout.size, sum(Y.shape[1] for _, Y in blocks)))
+    cols, c0 = {}, 0
+    for f, (pos, Y) in zip(FIELD_NAMES, blocks):
+        cols[f] = slice(c0, c0 + Y.shape[1])
+        X[pos, cols[f]] = Y
+        c0 = cols[f].stop
+    return X, cols
+
+
 def pencil_solver(parts: NodeParts, sigma: complex):
     """solve(b, adjoint=False) for [Q G; G^T 0] [x; *] = [b; 0] with the energy
     pencil Q = K + sigma C + sigma^2 R (R the mass, C the damping) in node
@@ -332,6 +409,12 @@ def check_dense_cap(dim: int) -> None:
             f"dimension {dim} exceeds the dense solver cap {DENSE_CAP}; use a smaller n")
 
 
+def _gram(T: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """T^T diag(w) T, symmetrized."""
+    G = T.T @ (w[:, None] * T)
+    return 0.5 * (G + G.T)
+
+
 class DiscreteSystem:
     """Assembled first-order system U' = A U with energy E = U^T M U / 2.
 
@@ -339,7 +422,8 @@ class DiscreteSystem:
     in reduced coordinates.  The sparse node-level parts carry the physics;
     energy and dissipation are evaluated from them in O(n).  The dense
     half-size stiffness and damping Grams are built from them on first use
-    (for the spectrum and the initial data), and the dense A and M only on
+    (for the initial data, and the spectrum of a system without mirror
+    symmetry), and the dense A and M only on
     request (operator dumps and test oracles), all below the dense cap.  M is
     symmetric positive definite; the damping enters A only on the
     shear-velocity block.
@@ -350,6 +434,7 @@ class DiscreteSystem:
         self.params, self.profile, self.bc, self.grid = params, profile, bc, grid
         self.parts, self.slices, self.velocity_mass = parts, slices, velocity_mass
         self.spectrum = None  # spectral's eigenvalues, computed on first use
+        self.spectrum_blocks = None  # and the half size of each Schur block they came from
         self._half = slices["omega"].stop
 
     @property
@@ -390,16 +475,34 @@ class DiscreteSystem:
         """Dense stiffness block of M in the reduced coordinates."""
         check_dense_cap(self._half)
         ST = self.parts.strain @ to_nodes(self.parts, np.eye(self._half))
-        K = ST.T @ (self.parts.cell_weights[:, None] * ST)
-        return 0.5 * (K + K.T)
+        return _gram(ST, self.parts.cell_weights)
 
     @cached_property
     def damping_gram(self) -> np.ndarray:
         """Dense damping quadrature on the reduced shear-velocity block."""
         psi = self.parts.node_slices["psi"]
         T = to_nodes(self.parts, np.eye(self._half)[:, self.slices["psi"]])[psi]
-        C = T.T @ (self.parts.damping[psi, None] * T)
-        return 0.5 * (C + C.T)
+        return _gram(T, self.parts.damping[psi])
+
+    def energy_blocks(self):
+        """(K, V, C, psi) for each invariant subspace of the generator, one at
+        a time: the dense stiffness K and diagonal velocity mass V of its
+        coordinates and the damping Gram C on its psi coordinates psi.  A
+        mirror-symmetric system splits into its sectors J = +1 and J = -1 in
+        mirror_basis coordinates (V = 1); any other is one block, the reduced
+        coordinates."""
+        if not mirror_symmetric(self.parts):
+            yield self.reduced_stiffness, self.velocity_mass, self.damping_gram, self.slices["psi"]
+            return
+        for sign in (1.0, -1.0):
+            yield self._mirror_block(sign)
+
+    def _mirror_block(self, sign: float):
+        X, cols = mirror_basis(self.parts, sign)
+        psi = self.parts.node_slices["psi"]
+        K = _gram(self.parts.strain @ X, self.parts.cell_weights)
+        C = _gram(X[psi, cols["psi"]], self.parts.damping[psi])
+        return K, np.ones(K.shape[0]), C, cols["psi"]
 
     @cached_property
     def M(self) -> np.ndarray:

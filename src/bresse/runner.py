@@ -158,6 +158,7 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
         "predicted_decay": law.value,
         "predicted_resolvent_growth_order": law.resolvent_growth_order,
         "spectral_abscissa": abscissa,
+        "spectrum_blocks": system.spectrum_blocks,
         "max_real_part_unrestricted": spectral.spectral_abscissa(system, guard=False),
         "lambda_cap": float(spectral.scan_cap(system)),
         "undamped": undamped,
@@ -254,6 +255,32 @@ def _sweep_point(cfg: RunConfig) -> dict:
     return row
 
 
+def openblas_functions(verb: str) -> list:
+    """{prefix}_{verb}_num_threads{suffix} ("set" or "get") of each OpenBLAS
+    copy loaded in this process (numpy and scipy may bundle one each), found
+    through /proc/self/maps: none where that file is missing, and none for a
+    copy that exports no such name."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({fields[5] for fields in map(str.split, fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return []
+    names = [f"{prefix}_{verb}_num_threads{suffix}"
+             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
+    functions = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:
+            continue
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
+            functions.append(fn)
+    return functions
+
+
 class SweepWorkerError(RuntimeError):
     """A sweep's worker process died before it returned its point."""
 
@@ -297,16 +324,19 @@ def sweep_run(spec: SweepSpec) -> SweepResult:
     else:
         parent = os.getpid()
 
-        def die_with_parent():
-            # a worker blocks on the task queue for ever once its parent is killed
-            ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
-            if os.getppid() != parent:  # killed before the call above
-                os._exit(1)
+        def init_worker():
+            if sys.platform == "linux":
+                # a worker blocks on the task queue for ever once its parent is killed
+                ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+                if os.getppid() != parent:  # killed before the call above
+                    os._exit(1)
+            # the workers fill the CPUs already; more BLAS threads oversubscribe them
+            for set_threads in openblas_functions("set"):
+                set_threads(1)
 
-        linux = sys.platform == "linux"
         try:
             with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                                     initializer=die_with_parent if linux else None) as pool:
+                                     initializer=init_worker) as pool:
                 rows = list(pool.map(_sweep_point, configs))
         except BrokenProcessPool:
             raise SweepWorkerError("a worker process died before returning its point; "

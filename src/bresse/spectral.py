@@ -1,9 +1,11 @@
 """Frequency-domain measurements: spectrum and resolvent growth.
 
-The spectrum comes from one dense real Schur factorization of the
-energy-weighted generator F A F^{-1} (M = F^T F), filled from one Cholesky
-factor of the half-size stiffness without forming A, M or F.  Energy-norm
-resolvents build no dense matrix: (i lam - A) U = f is Q q = R f_p +
+The spectrum comes from dense real Schur factorizations of the
+energy-weighted generator F A F^{-1} (M = F^T F), one per invariant
+subspace (two half-size mirror sectors when the system is symmetric under
+x -> L - x, else one block), each filled from one Cholesky factor of its
+stiffness without forming A, M or F.  Energy-norm resolvents build no
+dense matrix: (i lam - A) U = f is Q q = R f_p +
 (i lam R + C) f_q, p = i lam q - f_q, Q = K - lam^2 R + i lam C the energy
 pencil at i lam: one banded LU per frequency.  The energy adjoint
 -(i lam - A~)^{-1} (A~: damping -C) reuses it with Q^H, Q being complex
@@ -36,35 +38,47 @@ class ResonantFrequencyError(RuntimeError):
 def eigenvalues(system) -> np.ndarray:
     """Full spectrum of the generator, sorted by imaginary part, cached.
 
-    One real Schur factorization of F A F^-1, M = F^T F, filled from one
-    half-size Cholesky K_red = L^T L: F = blockdiag(L, V^1/2), V the velocity
-    mass, gives [[0, B], [-B^T, -Ch]] with B = L V^-1/2 and Ch = V^-1/2 C_red
-    V^-1/2 on the psi-velocity block only.  The d x d array is refused above
-    DENSE_CAP before it exists, and gees overwrites it.
+    One real Schur factorization per energy block of the system (its two
+    mirror sectors when it has them, else the whole space).  For a block's
+    stiffness K = L^T L (upper Cholesky factor L), velocity mass V and
+    damping Gram C, F = blockdiag(L, V^1/2) turns its generator into
+    [[0, B], [-B^T, -Ch]] with B = L V^-1/2 and Ch = V^-1/2 C V^-1/2 on the
+    psi-velocity block only.  The dimension is refused above DENSE_CAP
+    before any block exists; gees overwrites each block's array.  The half
+    size of each block goes to system.spectrum_blocks.
     """
     if system.spectrum is None:
-        d = system.dimension
-        check_dense_cap(d)
-        h = d // 2
-        B = scipy.linalg.cholesky(system.reduced_stiffness)  # upper L
-        B /= np.sqrt(system.velocity_mass)
-        Atil = np.zeros((d, d), order="F")  # gees works in place on Fortran order
-        Atil[:h, h:] = B
-        np.negative(B.T, out=Atil[h:, :h])
-        del B
-        psi, v = system.slices["psi"], system.slices["v"]
-        w = 1.0 / np.sqrt(system.velocity_mass[psi])
-        Atil[v, v] = -(w[:, None] * system.damping_gram * w)
-        gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
-        # optimal workspace, as schur() queries it: the default minimum is slower
-        lwork = int(gees(lambda re, im: None, Atil, lwork=-1, overwrite_a=True)[-2][0].real)
-        _, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork,
-                                        overwrite_a=True)
-        if info:
-            raise np.linalg.LinAlgError(f"real Schur factorization failed (info={info})")
-        vals = wr + 1j * wi
+        check_dense_cap(system.dimension)
+        vals, sizes = [], []
+        for block in system.energy_blocks():
+            vals.append(_schur_eigenvalues(*block))
+            sizes.append(vals[-1].size // 2)
+        vals = np.concatenate(vals)
         system.spectrum = vals[np.lexsort((vals.real, vals.imag))]
+        system.spectrum_blocks = sizes
     return system.spectrum
+
+
+def _schur_eigenvalues(K, V, C, psi) -> np.ndarray:
+    """Eigenvalues of one energy block, in gees order."""
+    h = K.shape[0]
+    B = scipy.linalg.cholesky(K)  # upper L
+    B /= np.sqrt(V)
+    Atil = np.zeros((2 * h, 2 * h), order="F")  # gees works in place on Fortran order
+    Atil[:h, h:] = B
+    np.negative(B.T, out=Atil[h:, :h])
+    del B
+    w = 1.0 / np.sqrt(V[psi])
+    v = slice(h + psi.start, h + psi.stop)
+    Atil[v, v] = -(w[:, None] * C * w)
+    gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
+    # optimal workspace, as schur() queries it: the default minimum is slower
+    lwork = int(gees(lambda re, im: None, Atil, lwork=-1, overwrite_a=True)[-2][0].real)
+    _, _, wr, wi, _, _, info = gees(lambda re, im: None, Atil, compute_v=0, lwork=lwork,
+                                    overwrite_a=True)
+    if info:
+        raise np.linalg.LinAlgError(f"real Schur factorization failed (info={info})")
+    return wr + 1j * wi
 
 
 def spectral_abscissa(system, guard: bool = True) -> float:

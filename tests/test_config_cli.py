@@ -495,6 +495,37 @@ def test_dead_sweep_worker_exits_3(tmp_path, capsys, monkeypatch):
     assert not os.path.exists(os.path.join(spec_dict["outputs"], "atlas.csv"))
 
 
+def test_pooled_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    """Two forked workers each read one thread back from every OpenBLAS copy,
+    though the parent runs two; the patched point reports the counts as its
+    error."""
+    getters = runner.openblas_functions("get")
+    if not getters:
+        pytest.skip("no OpenBLAS thread-count getter found in this process")
+
+    def report_threads(cfg, **kwargs):
+        raise RuntimeError(" ".join(str(get()) for get in runner.openblas_functions("get")))
+
+    monkeypatch.setattr(runner, "simulate_run", report_threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    spec_dict = sweep_raw(tmp_path, {"n": [6, 8]})
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec_dict))
+    before = [get() for get in getters]
+    try:
+        for set_threads in runner.openblas_functions("set"):
+            set_threads(2)
+        result = sweep_run(load_sweep(str(path)))
+    finally:
+        for set_threads, count in zip(runner.openblas_functions("set"), before):
+            set_threads(count)
+    assert result.processes == 2
+    with open(result.atlas) as fh:
+        rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+    ones = " ".join(["1"] * len(getters))
+    assert [c[10] for c in rows] == [f"simulate: RuntimeError: {ones}"] * 2
+
+
 def test_sweep_does_not_fork_beside_another_thread(tmp_path, monkeypatch):
     import threading
 

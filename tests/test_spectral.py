@@ -5,7 +5,8 @@ value directly from the definition (dense Cholesky, explicit inverse, full
 SVD) and shares no code with the production path, which is the banded
 half-size route and builds no dense matrix.  The Schur spectrum, filled
 from a half-size Cholesky factor, is checked against the eigenvalues of the
-dense generator A, by scipy and in 30-digit arithmetic by mpmath.
+dense generator A, by scipy and in 30-digit arithmetic by mpmath, both
+split into mirror sectors and in one block.
 """
 
 import mpmath
@@ -15,6 +16,7 @@ import scipy.linalg
 
 from bresse import discretize, spectral
 from bresse.discretize import DenseSolverCapError
+from bresse.model import DampingShape
 from bresse.spectral import (
     ResonantFrequencyError,
     default_axis_grid,
@@ -40,18 +42,40 @@ def oracle_resolvent_norm(system, lam):
     return 1.0 / oracle_singular_values(system, lam).min()
 
 
+def nearest_match_gap(ours, theirs):
+    """Largest distance from a value in either set to its nearest in the other."""
+    assert ours.size == theirs.size
+    dist = np.abs(ours[:, None] - theirs[None, :])
+    return max(dist.min(axis=0).max(), dist.min(axis=1).max())
+
+
+def check_dense_eig_oracle(system, blocks):
+    """The Schur spectrum against scipy's eigvals of the dense generator,
+    each value matched to its nearest counterpart in both directions."""
+    ours = eigenvalues(system)
+    assert len(system.spectrum_blocks) == blocks
+    assert sum(system.spectrum_blocks) == system.dimension // 2
+    theirs = scipy.linalg.eigvals(system.A)
+    assert nearest_match_gap(ours, theirs) <= 1e-12 * np.abs(theirs).max()
+
+
 @pytest.mark.parametrize("bc", [DNN, DDD])
 @pytest.mark.parametrize("a0", [1.0, 0.0])
 def test_eigenvalues_match_dense_eig_oracle(bc, a0):
-    """The Schur spectrum against scipy's eigvals of the dense generator,
-    each value matched to its nearest counterpart in both directions."""
-    system = system_for(beam(kappa0=2.0), interval(a0=a0), bc, 24)
-    ours = eigenvalues(system)
-    theirs = scipy.linalg.eigvals(system.A)
-    assert ours.size == theirs.size
-    dist = np.abs(ours[:, None] - theirs[None, :])
-    gap = max(dist.min(axis=0).max(), dist.min(axis=1).max())
-    assert gap <= 1e-12 * np.abs(theirs).max()
+    """The centred support splits the spectrum into two mirror sectors."""
+    check_dense_eig_oracle(system_for(beam(kappa0=2.0), interval(a0=a0), bc, 24), blocks=2)
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+@pytest.mark.parametrize("n, profile", [
+    (25, interval()), (25, interval(a0=0.0)),
+    (24, interval(shape=DampingShape.SMOOTHED_PLATEAU, ramp=0.1)),
+    (24, interval(0.1, 0.6))], ids=["odd", "odd-undamped", "ramped", "asymmetric"])
+def test_mirror_split_matches_dense_eig_oracle(bc, n, profile):
+    """Odd meshes (no mid node for phi) and a ramped profile (its two sides
+    round a few eps apart) split; an asymmetric support stays one block."""
+    blocks = 1 if profile.alpha + profile.beta != 1.0 else 2
+    check_dense_eig_oracle(system_for(beam(kappa0=2.0), profile, bc, n), blocks)
 
 
 def mp_eigenvalues(A: np.ndarray, dps: int = 30) -> np.ndarray:
@@ -61,17 +85,25 @@ def mp_eigenvalues(A: np.ndarray, dps: int = 30) -> np.ndarray:
     return np.array([complex(v) for v in vals])
 
 
-@pytest.mark.parametrize("bc", [DNN, DDD])
-def test_eigenvalues_match_extended_precision_oracle(bc):
+def check_extended_precision_oracle(system, blocks):
     """At n = 6 (the n = 4 abscissa sits at rounding) every Schur eigenvalue
     lies within 16 eps max|lam| of a 30-digit eigenvalue of the dense
     generator, and every 30-digit eigenvalue within that of a Schur one."""
-    system = system_for(beam(kappa0=2.0), interval(), bc, 6)
     ours, exact = eigenvalues(system), mp_eigenvalues(system.A)
-    assert ours.size == exact.size
-    dist = np.abs(ours[:, None] - exact[None, :])
-    gap = max(dist.min(axis=0).max(), dist.min(axis=1).max())
-    assert gap <= 16 * np.finfo(float).eps * np.abs(exact).max()
+    assert len(system.spectrum_blocks) == blocks
+    assert nearest_match_gap(ours, exact) <= 16 * np.finfo(float).eps * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_eigenvalues_match_extended_precision_oracle(bc):
+    check_extended_precision_oracle(system_for(beam(kappa0=2.0), interval(), bc, 6), blocks=2)
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_asymmetric_eigenvalues_match_extended_precision_oracle(bc):
+    """The support ]0.1, 0.6[ couples the mirror sectors: it takes one block."""
+    system = system_for(beam(kappa0=2.0), interval(0.1, 0.6), bc, 6)
+    check_extended_precision_oracle(system, blocks=1)
 
 
 @pytest.fixture
