@@ -9,9 +9,8 @@ wave-speed regime prediction.
 from .config import LambdaGrid, RunConfig, auto_dt, config_id, load_config, parse_config
 from .discretize import (AdmissibilityError, DenseSolverCapError, DiscreteSystem,
                          Grid, assemble, dirichlet_embedding)
-from .evolve import (Custom, EnergyTimeSeries, MidpointStepper, Modal,
-                     RandomSmooth, default_dt, energy_balance_residual,
-                     make_initial, simulate)
+from .evolve import (EnergyTimeSeries, MidpointStepper, Modal, RandomSmooth,
+                     default_dt, energy_balance_residual, make_initial, simulate)
 from .fitting import (Classification, DecayFit, FitWindowError, bt_map,
                       classify_decay, fit_exponential, fit_polynomial)
 from .model import (BeamParameters, BoundaryCondition, DampingProfile,

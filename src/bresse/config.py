@@ -184,15 +184,19 @@ def config_id(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def load_config(path: str) -> RunConfig:
+def _read_json(path: str, what: str):
+    """The parsed JSON file at path, or ConfigError naming it as ``what``."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return parse_config(raw)
+        raise ConfigError(f"{what} {path} is not valid JSON: {err}") from err
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(_read_json(path, "config"))
 
 
 def save_config(cfg: RunConfig, path: str) -> None:
@@ -210,13 +214,7 @@ class SweepSpec:
 
 
 def load_sweep(path: str) -> SweepSpec:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read sweep {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"sweep {path} is not valid JSON: {err}") from err
+    raw = _read_json(path, "sweep")
     _require(isinstance(raw, dict) and set(raw) <= {"base", "grid", "outputs", "max_points"},
              "sweep holds base, grid, outputs and optionally max_points")
     for key in ("base", "grid", "outputs"):

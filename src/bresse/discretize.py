@@ -347,23 +347,26 @@ def pencil_solver(parts: NodeParts, sigma: complex):
 
     A real sigma is factored by banded Cholesky (pbtrf) on the upper half of
     the band storage, and a complex right-hand side goes through one pbtrs
-    as two real columns.  A complex sigma, and a real one whose Q is not
-    positive definite (only an anti-damped C makes it so), are factored by
+    as two real columns; for sigma > 0 and C >= 0 (DampingProfile refuses
+    a0 < 0) Q is positive definite.  A complex sigma is factored by
     banded LU with partial pivoting (gbtrf).  The border goes by block
     elimination with Z = Q^-1 G, reused as conj(Z) for Q^H = conj(Q).  A
-    zero pivot or a singular G^T Z raises LinAlgError."""
+    real Q that is not positive definite, a zero pivot or a singular G^T Z
+    raises LinAlgError."""
     kl = parts.bandwidth
     diagonal = sigma * (sigma * parts.mass + parts.damping)
-    real, banded = np.isrealobj(sigma), None
+    real = np.isrealobj(sigma)
     if real:
         ab = parts.band[:kl + 1].copy()  # the upper band, diagonal in row kl
         ab[kl] += diagonal
         pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
         chol, info = pbtrf(ab, overwrite_ab=True)
-        if info == 0:
-            def banded(b, adjoint):  # Q is real symmetric: Q^H = Q
-                return pbtrs(chol, b)[0]
-    if banded is None:
+        if info:
+            raise np.linalg.LinAlgError(f"pencil not positive definite (leading minor {info})")
+
+        def banded(b, adjoint):  # Q is real symmetric: Q^H = Q
+            return pbtrs(chol, b)[0]
+    else:
         ab = np.zeros((3 * kl + 1, parts.band.shape[1]), dtype=np.result_type(parts.band, sigma))
         ab[kl:] = parts.band  # the top kl rows are room for the pivots
         ab[2 * kl] += diagonal
@@ -415,17 +418,25 @@ def _gram(T: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
+def energy_block(parts: NodeParts, X: np.ndarray, psi: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Dense stiffness K = X^T S^T W S X of a basis X of node half-states
+    (columns) and the damping Gram C on its psi columns."""
+    nodes = parts.node_slices["psi"]
+    return (_gram(parts.strain @ X, parts.cell_weights),
+            _gram(X[nodes, psi], parts.damping[nodes]))
+
+
 class DiscreteSystem:
     """Assembled first-order system U' = A U with energy E = U^T M U / 2.
 
     State ordering is (phi, psi, omega, u, v, z) with u, v, z the velocities,
     in reduced coordinates.  The sparse node-level parts carry the physics;
     energy and dissipation are evaluated from them in O(n).  The dense
-    half-size stiffness and damping Grams are built from them on first use
-    (for the initial data, and the spectrum of a system without mirror
-    symmetry), and the dense A and M only on
-    request (operator dumps and test oracles), all below the dense cap.  M is
-    symmetric positive definite; the damping enters A only on the
+    half-size stiffness and damping Grams (reduced_block) are built from
+    them on first use (for the initial data, and the spectrum of a system
+    without mirror symmetry), and the dense A and M, which read that block,
+    only on request (operator dumps and test oracles), all below the dense
+    cap.  M is symmetric positive definite; the damping enters A only on the
     shear-velocity block.
     """
 
@@ -471,18 +482,12 @@ class DiscreteSystem:
         return self.parts.embeddings[base] @ stored
 
     @cached_property
-    def reduced_stiffness(self) -> np.ndarray:
-        """Dense stiffness block of M in the reduced coordinates."""
+    def reduced_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """energy_block of the reduced coordinates: the dense stiffness block
+        of M and the damping Gram on the shear-velocity block."""
         check_dense_cap(self._half)
-        ST = self.parts.strain @ to_nodes(self.parts, np.eye(self._half))
-        return _gram(ST, self.parts.cell_weights)
-
-    @cached_property
-    def damping_gram(self) -> np.ndarray:
-        """Dense damping quadrature on the reduced shear-velocity block."""
-        psi = self.parts.node_slices["psi"]
-        T = to_nodes(self.parts, np.eye(self._half)[:, self.slices["psi"]])[psi]
-        return _gram(T, self.parts.damping[psi])
+        X = to_nodes(self.parts, np.eye(self._half))
+        return energy_block(self.parts, X, self.slices["psi"])
 
     def energy_blocks(self):
         """(K, V, C, psi) for each invariant subspace of the generator, one at
@@ -492,17 +497,13 @@ class DiscreteSystem:
         mirror_basis coordinates (V = 1); any other is one block, the reduced
         coordinates."""
         if not mirror_symmetric(self.parts):
-            yield self.reduced_stiffness, self.velocity_mass, self.damping_gram, self.slices["psi"]
+            K, C = self.reduced_block
+            yield K, self.velocity_mass, C, self.slices["psi"]
             return
         for sign in (1.0, -1.0):
-            yield self._mirror_block(sign)
-
-    def _mirror_block(self, sign: float):
-        X, cols = mirror_basis(self.parts, sign)
-        psi = self.parts.node_slices["psi"]
-        K = _gram(self.parts.strain @ X, self.parts.cell_weights)
-        C = _gram(X[psi, cols["psi"]], self.parts.damping[psi])
-        return K, np.ones(K.shape[0]), C, cols["psi"]
+            X, cols = mirror_basis(self.parts, sign)
+            K, C = energy_block(self.parts, X, cols["psi"])
+            yield K, np.ones(K.shape[0]), C, cols["psi"]
 
     @cached_property
     def M(self) -> np.ndarray:
@@ -510,7 +511,7 @@ class DiscreteSystem:
         check_dense_cap(self.dimension)
         h = self._half
         M = np.zeros((2 * h, 2 * h))
-        M[:h, :h] = self.reduced_stiffness
+        M[:h, :h] = self.reduced_block[0]
         M[np.arange(h, 2 * h), np.arange(h, 2 * h)] = self.velocity_mass
         return M
 
@@ -521,9 +522,10 @@ class DiscreteSystem:
         h = self._half
         A = np.zeros((2 * h, 2 * h))
         A[:h, h:] = np.eye(h)
-        A[h:, :h] = -self.reduced_stiffness / self.velocity_mass[:, None]
+        K, C = self.reduced_block
+        A[h:, :h] = -K / self.velocity_mass[:, None]
         sl_v = self.slices["v"]
-        A[sl_v, sl_v] -= self.damping_gram / self.velocity_mass[self.slices["psi"], None]
+        A[sl_v, sl_v] -= C / self.velocity_mass[self.slices["psi"], None]
         return A
 
 

@@ -41,7 +41,7 @@ class EnergyMonotonicityError(RuntimeError):
 
 
 class SingularStepError(RuntimeError):
-    """The implicit step matrix is singular to working precision."""
+    """The implicit step matrix is singular or indefinite to working precision."""
 
 
 SMOOTH_FRACTION = 0.1
@@ -61,13 +61,7 @@ class RandomSmooth:
     seed: int = 0
 
 
-@dataclass
-class Custom:
-    """Caller-supplied state vector in the reduced coordinates, used as is."""
-    vector: np.ndarray
-
-
-InitialData = Modal | RandomSmooth | Custom
+InitialData = Modal | RandomSmooth
 
 
 def default_dt(system: DiscreteSystem) -> float:
@@ -81,18 +75,23 @@ def undamped_modes(system: DiscreteSystem):
     velocity blocks of M.  Mode k spans the states (phi_k, 0) and
     (0, w_k phi_k); the shapes are scaled so each of those carries energy 1/2.
     """
-    w2, shapes = scipy.linalg.eigh(system.reduced_stiffness, np.diag(system.velocity_mass))
+    K, _ = system.reduced_block
+    w2, shapes = scipy.linalg.eigh(K, np.diag(system.velocity_mass))
     freqs = np.sqrt(w2)
     return freqs, shapes / freqs
 
 
-def make_initial(system: DiscreteSystem, spec: InitialData) -> np.ndarray:
-    if isinstance(spec, Custom):
-        U = np.asarray(spec.vector, dtype=float).copy()
-        if U.shape != (system.dimension,):
-            raise ValueError(f"custom state must have shape ({system.dimension},)")
-        if system.energy(U) <= 0.0:
-            raise ValueError("custom state carries no energy")
+def make_initial(system: DiscreteSystem, spec: InitialData | np.ndarray) -> np.ndarray:
+    """The initial state of spec, energy-normalized.  An array is a reduced
+    state, used as is once checked to be real, of the state's shape, and to
+    carry energy."""
+    if isinstance(spec, np.ndarray):
+        if spec.dtype.kind not in "iuf" or spec.shape != (system.dimension,):
+            raise ValueError(f"initial state must be a real array of shape "
+                             f"({system.dimension},), got {spec.dtype} {spec.shape}")
+        U = spec.astype(float)
+        if not system.energy(U) > 0.0:
+            raise ValueError("initial state carries no energy")
         return U
 
     freqs, shapes = undamped_modes(system)
@@ -121,23 +120,23 @@ class MidpointStepper:
         [G^T  0] [ * ] = [                   0                     ],
 
     q+ = q + (p + p+) / sigma: the Cayley step of A in node coordinates,
-    factored by ``pencil_solver``.  For dt > 0 and a dissipative C, Q is
-    positive definite and the factor is a banded Cholesky; an anti-damped Q
-    can be indefinite, and then the factor is a pivoted LU.  ``rows`` maps
-    x = [q; p] to the right-hand side.  ``step`` maps reduced vectors or
-    columns, also complex.
+    factored by ``pencil_solver`` as a banded Cholesky.  For dt > 0 and a
+    dissipative C, Q is positive definite; an indefinite Q raises
+    SingularStepError.  ``rows`` maps x = [q; p] to the right-hand side.
+    ``step`` maps reduced vectors or columns, also complex.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError("dt must be nonzero and finite")
         parts = system.parts
-        self.dt, self.system, self.bandwidth = dt, system, parts.bandwidth
+        self.dt, self.system = dt, system
         self.sigma = sigma = 2.0 / dt
         try:
             self._solve = pencil_solver(parts, sigma)
         except np.linalg.LinAlgError as err:
-            raise SingularStepError(f"step matrix at dt={dt:g} is singular: {err}") from err
+            raise SingularStepError(
+                f"step matrix at dt={dt:g} is singular or indefinite: {err}") from err
         K, self._nodes = parts.stiffness, parts.mass.size
         diagonal = sigma * (sigma * parts.mass - parts.damping)
         self.rows = sp.hstack([(-2.0 * sigma) * K, sp.diags(diagonal) - K], format="csr")
@@ -174,18 +173,18 @@ class EnergyTimeSeries:
 
 
 def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
-             T: float, dt: float | None = None, sample_stride: int = 1,
-             collect_balance: bool = False) -> EnergyTimeSeries:
-    """Run to final time T, sampling energy and dissipation every
-    ``sample_stride`` steps (the final state is always sampled).
+             T: float, dt: float | None = None, sample_stride: int = 1) -> EnergyTimeSeries:
+    """Run from make_initial(system, initial) to final time T, sampling
+    energy and dissipation every ``sample_stride`` steps (the final state is
+    always sampled).
 
     The states are stepped into a block of BLOCK rows; once the block is
     full (or the run ends), one product of the block with each root gives
     the energy and dissipation of all its states.  Every step is checked:
     a rise above 1e-12 * E(0) aborts, as does a non-finite energy, naming
-    the first step at fault.  With ``collect_balance`` the largest per-step
-    defect of E+ - E = -dt D(U_mid), which the scheme satisfies exactly, is
-    reported relative to E(0).
+    the first step at fault.  The largest per-step defect of
+    E+ - E = -dt D(U_mid), which the scheme satisfies exactly, is reported
+    relative to E(0).
     """
     if not T > 0:
         raise ValueError("final time must be positive")
@@ -195,17 +194,15 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
         dt = default_dt(system)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    U = initial if isinstance(initial, np.ndarray) else make_initial(system, initial)
+    U = make_initial(system, initial)
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
     parts = system.parts
     block = np.empty((BLOCK + 1, 2 * parts.mass.size))  # row 0: the state before the block
-    block[0] = system.node_state(np.asarray(U, dtype=float))
+    block[0] = system.node_state(U)
     states = list(block)
     E, D, g = _block_energies(parts, block[:1])
     E0 = E[0]
-    if not E0 > 0:
-        raise ValueError("initial state carries no energy")
     rise_allowance = 1e-12 * E0
 
     times, energies, dissipations = [np.zeros(1)], [E], [D]
@@ -226,10 +223,9 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
                         f"non-finite energy at step {done + j + 1} (dt={dt})")
                 raise EnergyMonotonicityError(
                     f"energy rose by {rise[j]:.3e} at step {done + j + 1} (dt={dt})")
-            if collect_balance:  # g is linear in the state: g + g+ = 2 g(U_mid)
-                g_sum = g[:, 1:] + g[:, :-1]
-                balance = rise + 0.25 * dt * np.einsum("ij,ij->j", g_sum, g_sum)
-                max_residual = max(max_residual, float(np.abs(balance).max()))
+            g_sum = g[:, 1:] + g[:, :-1]  # g is linear in the state: g + g+ = 2 g(U_mid)
+            balance = rise + 0.25 * dt * np.einsum("ij,ij->j", g_sum, g_sum)
+            max_residual = max(max_residual, float(np.abs(balance).max()))
             k = np.arange(done + 1, done + count + 1)
             sampled = (k % sample_stride == 0) | (k == n_steps)
             times.append(k[sampled] * dt)
@@ -238,8 +234,7 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
             block[0] = block[count]
 
     return EnergyTimeSeries(np.concatenate(times), np.concatenate(energies),
-                            np.concatenate(dissipations),
-                            max_residual / E0 if collect_balance else None)
+                            np.concatenate(dissipations), max_residual / E0)
 
 
 def _block_energies(parts, states: np.ndarray):
@@ -256,5 +251,5 @@ def _block_energies(parts, states: np.ndarray):
 def energy_balance_residual(system: DiscreteSystem, U0: np.ndarray, dt: float,
                             n_steps: int) -> float:
     """Largest per-step midpoint balance defect over n_steps relative to E(0)."""
-    return simulate(system, U0, T=n_steps * dt, dt=dt, sample_stride=n_steps,
-                    collect_balance=True).max_balance_residual
+    return simulate(system, U0, T=n_steps * dt, dt=dt,
+                    sample_stride=n_steps).max_balance_residual

@@ -12,6 +12,7 @@ from .model import DecayLaw
 
 MIN_DROP_DECADES = 2.0  # decay a run needs before classify_decay compares laws
 TIE_MARGIN = 0.01       # r^2 difference below which the two fits tie
+TAIL_FRACTION = 1.0 / 3.0  # share of the simulated time span the default window covers
 
 
 class FitWindowError(ValueError):
@@ -28,10 +29,10 @@ class DecayFit:
     n_used: int
 
 
-def tail_window(series: EnergyTimeSeries, fraction: float = 1.0 / 3.0) -> tuple[float, float]:
-    """Last ``fraction`` of the simulated time span."""
+def tail_window(series: EnergyTimeSeries) -> tuple[float, float]:
+    """Last TAIL_FRACTION of the simulated time span."""
     t0, t1 = float(series.times[0]), float(series.times[-1])
-    return (t1 - fraction * (t1 - t0), t1)
+    return (t1 - TAIL_FRACTION * (t1 - t0), t1)
 
 
 def _window_data(series, window):
@@ -91,24 +92,23 @@ class Classification:
     polynomial: DecayFit | None
 
 
-def classify_decay(series: EnergyTimeSeries, window=None,
-                   horizon: float | None = None) -> Classification:
-    """Pick the better of the exponential and power-law descriptions.
+def classify_decay(series: EnergyTimeSeries, window=None) -> Classification:
+    """Pick the better of the exponential and power-law descriptions on the
+    window (default: tail_window).
 
     The comparison is declined (Inconclusive) when the run has not decayed
-    through MIN_DROP_DECADES yet (unless it already spans the given
-    horizon), when the log-log window cannot exclude t <= 1, or when the two
-    transformed r-squared values differ by less than TIE_MARGIN.
+    through MIN_DROP_DECADES yet, when the log-log window cannot exclude
+    t <= 1, or when the two transformed r-squared values differ by less than
+    TIE_MARGIN.
     """
     E0 = float(series.energy[0])
     E_end = float(series.energy[-1])
-    t_end = float(series.times[-1])
     if E0 <= 0:
         return Classification(None, True, "no initial energy", None, None, None)
     drop = np.log10(E0 / max(E_end, 1e-300))
     if drop < 0.1:
         return Classification(None, True, "no decay", None, None, None)
-    if drop < MIN_DROP_DECADES and not (horizon is not None and t_end >= horizon):
+    if drop < MIN_DROP_DECADES:
         return Classification(None, True,
                               f"only {drop:.2f} decades of decay so far", None, None, None)
 

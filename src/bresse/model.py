@@ -18,6 +18,8 @@ import numpy as np
 # relative tolerance for deciding parameter coincidences; the decay law is
 # discontinuous across these manifolds so the tolerance is deliberately tight
 REGIME_RTOL = 1e-12
+# a DNN length within DNN_RTOL * L of a multiple of pi/l is refused
+DNN_RTOL = 1e-9
 
 
 class BoundaryCondition(Enum):
@@ -109,20 +111,20 @@ class BeamParameters:
         return min(self.shear_speed, self.bending_speed, self.longitudinal_speed)
 
 
-def _close(x: float, y: float, rtol: float) -> bool:
-    return abs(x - y) <= rtol * max(abs(x), abs(y))
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= REGIME_RTOL * max(abs(x), abs(y))
 
 
-def classify_regime(params: BeamParameters, rtol: float = REGIME_RTOL) -> Regime:
+def classify_regime(params: BeamParameters) -> Regime:
     """Decide the wave-speed regime.
 
     Equal speeds means kappa == kappa0 together with rho1/rho2 == kappa/b;
     the ratio condition is tested as rho1*b == rho2*kappa so the outcome is
     invariant under a common rescaling of the stiffnesses or the densities.
     """
-    if not _close(params.kappa, params.kappa0, rtol):
+    if not _close(params.kappa, params.kappa0):
         return Regime.GENERAL
-    if _close(params.rho1 * params.b, params.rho2 * params.kappa, rtol):
+    if _close(params.rho1 * params.b, params.rho2 * params.kappa):
         return Regime.EQUAL_SPEED
     return Regime.EQUAL_KAPPA_ONLY
 
@@ -144,16 +146,15 @@ class DnnAdmissibility:
     tol: float
 
 
-def check_dnn_admissible(params: BeamParameters, tol_abs: float | None = None) -> DnnAdmissibility:
+def check_dnn_admissible(params: BeamParameters) -> DnnAdmissibility:
     """Check L != n*pi/l for every integer n >= 1.
 
     At those lengths the DNN energy seminorm degenerates (a smooth stationary
     field with zero strain appears) and the problem is ill posed, so
     assembling is refused there.  The gap is measured in absolute length
-    units; default tolerance 1e-9*L.
+    units, against the tolerance DNN_RTOL * L.
     """
-    if tol_abs is None:
-        tol_abs = 1e-9 * params.L
+    tol_abs = DNN_RTOL * params.L
     step = math.pi / params.l
     nearest = max(1, round(params.L / step))
     gap = min(abs(params.L - n * step) for n in (nearest - 1, nearest, nearest + 1) if n >= 1)

@@ -96,8 +96,7 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
 
     U0 = make_initial(system, RandomSmooth(seed=cfg.seed))
     stride = max(1, math.ceil((cfg.T / cfg.dt) / MAX_ENERGY_ROWS))
-    series = simulate(system, U0, T=cfg.T, dt=cfg.dt, sample_stride=stride,
-                      collect_balance=True)
+    series = simulate(system, U0, T=cfg.T, dt=cfg.dt, sample_stride=stride)
 
     regime = classify_regime(cfg.params)
     law = predicted_decay(regime)

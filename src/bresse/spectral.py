@@ -243,21 +243,17 @@ def fit_growth_exponent(lambdas, norms, window=None) -> GrowthFit:
     """Least-squares slope of log r against log lambda near the top of the
     scanned band, with a 95 percent confidence interval.
 
-    window: None for the top half decade, a float f for the top f fraction
-    of the log range, or an explicit (lam_lo, lam_hi) pair.  Only the
-    envelope maxima of the log bins enter the fit, which keeps valley
-    samples from biasing the slope of a peaky resolvent curve.
+    window: None for the top half decade, or an explicit (lam_lo, lam_hi)
+    pair.  Only the envelope maxima of the log bins enter the fit, which
+    keeps valley samples from biasing the slope of a peaky resolvent curve.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     norms = np.asarray(norms, dtype=float)
     lam_hi = lambdas.max()
     if window is None:
         lam_lo = lam_hi / np.sqrt(10.0)
-    elif isinstance(window, tuple):
-        lam_lo, lam_hi = window
     else:
-        span = np.log10(lam_hi / lambdas.min())
-        lam_lo = lam_hi / 10 ** (float(window) * span)
+        lam_lo, lam_hi = window
     keep = (lambdas >= lam_lo * (1 - 1e-12)) & (lambdas <= lam_hi * (1 + 1e-12))
     x = np.log(lambdas[keep])
     y = np.log(norms[keep])
@@ -280,10 +276,10 @@ def fit_growth_exponent(lambdas, norms, window=None) -> GrowthFit:
                      window=(float(lam_lo), float(lam_hi)), n_used=m)
 
 
-def growth_ratio(scan: AxisScan, decades: float = 1.0) -> float:
-    """Peak norm in the top band over peak norm in the bottom band."""
+def growth_ratio(scan: AxisScan) -> float:
+    """Peak norm in the top decade of the scan over that in its bottom decade."""
     lam, r = scan.lambdas, scan.norms
-    top = r[lam >= lam.max() / 10 ** decades]
-    bottom = r[lam <= lam.min() * 10 ** decades]
+    top = r[lam >= lam.max() / 10.0]
+    bottom = r[lam <= lam.min() * 10.0]
     return float(top.max() / bottom.max())
 

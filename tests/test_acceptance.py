@@ -14,6 +14,8 @@ these meshes are pre-asymptotic).  The clause is asserted as stated and left
 failing; the scoreboard line carries the numbers.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -301,7 +303,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
         for root, _, files in os.walk(spec.outputs):
             for f in files:
                 full = os.path.join(root, f)
-                out[os.path.relpath(full, spec.outputs)] = open(full, "rb").read()
+                out[os.path.relpath(full, spec.outputs)] = Path(full).read_bytes()
         return out
 
     def cli_sweep():  # --workers is accepted and ignored; it must change no byte

@@ -5,6 +5,7 @@ import json
 import os
 import signal
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def snapshot(directory):
     for root, _, files in os.walk(directory):
         for f in files:
             full = os.path.join(root, f)
-            out[os.path.relpath(full, directory)] = open(full, "rb").read()
+            out[os.path.relpath(full, directory)] = Path(full).read_bytes()
     return out
 
 
@@ -192,6 +193,19 @@ def test_cli_refuses_step_count_above_cap(tmp_path, capsys):
     assert not os.path.exists(raw["outputs"])
 
 
+@pytest.mark.parametrize("command, what", [("simulate", "config"), ("sweep", "sweep")])
+def test_cli_unreadable_input_file_exit_code(tmp_path, capsys, command, what):
+    """A missing and a malformed config or sweep file each exit 2 with a
+    message naming the kind of file and its path."""
+    missing = tmp_path / "missing.json"
+    assert cli.main([command, str(missing)]) == 2
+    assert f"error: cannot read {what} {missing}: " in capsys.readouterr().err
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"n": ')
+    assert cli.main([command, str(malformed)]) == 2
+    assert f"error: {what} {malformed} is not valid JSON: " in capsys.readouterr().err
+
+
 def test_cli_config_argument_spellings(tmp_path, capsys):
     path, _ = write_cfg(tmp_path, n=8, T=0.5)
     out_a = str(tmp_path / "a")
@@ -199,7 +213,7 @@ def test_cli_config_argument_spellings(tmp_path, capsys):
     assert cli.main(["simulate", path, "-o", out_a]) == 0
     assert cli.main(["simulate", "-c", path, "-o", out_b]) == 0
     capsys.readouterr()
-    read = lambda d: open(os.path.join(d, "energy.csv"), "rb").read()
+    read = lambda d: Path(d, "energy.csv").read_bytes()
     assert read(out_a) == read(out_b)
     assert cli.main(["simulate", path, "-c", path]) == 2
     assert "exactly one" in capsys.readouterr().err
@@ -211,13 +225,13 @@ def test_cli_simulate_outputs(tmp_path, capsys):
     assert cli.main(["simulate", path]) == 0
     assert "wrote" in capsys.readouterr().out
     run = raw["outputs"]
-    lines = open(os.path.join(run, "energy.csv")).read().splitlines()
+    lines = Path(run, "energy.csv").read_text().splitlines()
     assert lines[0] == "t,energy,dissipation"
     assert len(lines) <= MAX_ENERGY_ROWS + 2
     # shortest-roundtrip float format: re-serializing reproduces the text
     for cell in lines[1].split(","):
         assert repr(float(cell)) == cell
-    report = json.load(open(os.path.join(run, "report.json")))
+    report = json.loads(Path(run, "report.json").read_text())
     assert report["regime"] == "EqualSpeed"
     assert report["predicted_decay"] == "Exponential"
     assert report["max_balance_residual"] <= 1e-10
@@ -240,7 +254,7 @@ def test_cli_spectrum_summary(tmp_path, capsys):
     path, raw = write_cfg(tmp_path)
     assert cli.main(["spectrum", path]) == 0
     assert "spectral abscissa" in capsys.readouterr().out
-    summary = json.load(open(os.path.join(raw["outputs"], "summary.json")))
+    summary = json.loads(Path(raw["outputs"], "summary.json").read_text())
     assert summary["spectral_abscissa"] < 0.0
     assert summary["max_real_part_unrestricted"] < 0.0
     assert summary["lambda_cap"] > 0.0
@@ -250,7 +264,7 @@ def test_cli_spectrum_summary(tmp_path, capsys):
     if summary["alpha_fit"] is not None and summary["alpha_fit"] > 0:
         assert summary["bt_energy_exponent"] == pytest.approx(
             2.0 / summary["alpha_fit"])
-    eig_rows = open(os.path.join(raw["outputs"], "eigenvalues.csv")).read().splitlines()
+    eig_rows = Path(raw["outputs"], "eigenvalues.csv").read_text().splitlines()
     assert eig_rows[0] == "re,im"
     assert len(eig_rows) - 1 == 6 * raw["n"] - 2
 
@@ -259,7 +273,7 @@ def test_cli_spectrum_undamped_flag(tmp_path, capsys):
     path, raw = write_cfg(tmp_path, profile={"a0": 0.0})
     assert cli.main(["spectrum", path]) == 0
     assert UNDAMPED_FLAG in capsys.readouterr().out
-    summary = json.load(open(os.path.join(raw["outputs"], "summary.json")))
+    summary = json.loads(Path(raw["outputs"], "summary.json").read_text())
     assert summary["flag"] == UNDAMPED_FLAG
     assert summary["alpha_fit"] is None
     assert summary["scan"] is None
@@ -382,9 +396,9 @@ def test_plots_emitted_with_relative_paths(tmp_path, capsys):
     assert capsys.readouterr().out.count("wrote") >= 4
     for script in ("energy_semilog.plt", "energy_loglog.plt",
                    "spectrum.plt", "resolvent.plt"):
-        body = open(os.path.join(raw["outputs"], script)).read()
+        body = Path(raw["outputs"], script).read_text()
         assert raw["outputs"] not in body  # relative references only
-    semilog = open(os.path.join(raw["outputs"], "energy_semilog.plt")).read()
+    semilog = Path(raw["outputs"], "energy_semilog.plt").read_text()
     assert '"energy.csv"' in semilog
 
 
@@ -409,7 +423,7 @@ def test_sweep_expansion_regimes(tmp_path):
         assert os.path.basename(cfg.outputs) == config_id(cfg)[:12]
 
     atlas = sweep_run(spec).atlas
-    rows = open(atlas).read().splitlines()
+    rows = Path(atlas).read_text().splitlines()
     assert rows[0] == ",".join(ATLAS_COLUMNS)
     assert len(rows) == 5
     cells = [r.split(",") for r in rows[1:]]
@@ -426,7 +440,7 @@ def test_sweep_continues_past_failing_point(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec_dict))
     atlas = sweep_run(load_sweep(str(path))).atlas
-    rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
+    rows = [r.split(",") for r in Path(atlas).read_text().splitlines()[1:]]
     assert sorted(c[9] for c in rows) == ["error", "ok"]
     bad = next(c for c in rows if c[9] == "error")
     assert bad[10].startswith("spectrum: ValueError: ")
@@ -441,7 +455,7 @@ def test_sweep_point_refused_above_dense_cap(tmp_path, monkeypatch):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec_dict))
     atlas = sweep_run(load_sweep(str(path))).atlas
-    rows = [r.split(",") for r in open(atlas).read().splitlines()[1:]]
+    rows = [r.split(",") for r in Path(atlas).read_text().splitlines()[1:]]
     assert [c[9] for c in rows] == ["error"]
     assert rows[0][10].startswith("assemble: DenseSolverCapError: ")
 

@@ -235,7 +235,7 @@ def test_symmetrization_is_exactly_minus_damping_block():
         S = MA + MA.T
         expected = np.zeros_like(S)
         sl = system.slices["v"]
-        expected[sl, sl] = -2.0 * system.damping_gram
+        expected[sl, sl] = -2.0 * system.reduced_block[1]
         assert np.abs(S - expected).max() <= 1e-12 * np.abs(MA).max()
 
 
@@ -334,7 +334,7 @@ def test_pencil_solver_matches_dense_bordered_solve(bc, sigma, a0):
     and its adjoint like a dense solve of the same bordered system, for real
     and complex vectors and columns.  The real sigma = 7 pencil is positive
     definite (the Cholesky route); with the damping sign flipped at a0 = 30,
-    sigma = 20 makes it indefinite (the pivoted fallback)."""
+    sigma = 20 makes it indefinite, and the factor refuses it."""
     rng = np.random.default_rng(4)
     for n in (8, 12):
         system = system_for(beam(), interval(a0=abs(a0)), bc, n)
@@ -346,6 +346,10 @@ def test_pencil_solver_matches_dense_bordered_solve(bc, sigma, a0):
         Q = parts.stiffness.toarray() + np.diag(sigma * parts.damping + sigma ** 2 * parts.mass)
         if np.isrealobj(sigma):
             assert (np.linalg.eigvalsh(Q)[0] > 0) == (a0 > 0)
+        if a0 < 0:
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                pencil_solver(parts, sigma)
+            continue
         bordered = np.block([[Q, parts.border], [parts.border.T, np.zeros((k, k))]])
         solve = pencil_solver(parts, sigma)
         for shape in ((m,), (m, 3)):

@@ -70,8 +70,6 @@ def test_tail_window_final_third():
     lo, hi = tail_window(series_of(t, np.exp(-t)))
     assert hi == 32.0
     assert lo == pytest.approx(22.0, rel=1e-12)
-    lo_half, _ = tail_window(series_of(t, np.exp(-t)), fraction=0.5)
-    assert lo_half == pytest.approx(17.0, rel=1e-12)
 
 
 def test_polynomial_exponent_window_shift_invariance():
@@ -112,18 +110,13 @@ def test_classify_insufficient_drop():
     verdict = classify_decay(series_of(t, np.exp(-0.1 * t)))
     assert verdict.inconclusive
     assert "decades" in verdict.reason
-    # the horizon escape hatch lets long shallow runs through
-    verdict = classify_decay(series_of(t, np.exp(-0.1 * t)),
-                             window=(1.5, 10.0), horizon=5.0)
-    assert not verdict.inconclusive
-    assert verdict.law is DecayLaw.EXPONENTIAL
 
 
 def test_classify_tie_is_inconclusive():
-    # a power law seen through a narrow window fits both transforms
-    t = np.linspace(50.0, 150.0, 300)
-    verdict = classify_decay(series_of(t, t ** -1.0),
-                             window=(100.0, 150.0), horizon=100.0)
+    # a power law seen through a narrow window fits both transforms; from
+    # t = 1 the run has dropped more than two decades
+    t = np.linspace(1.0, 150.0, 300)
+    verdict = classify_decay(series_of(t, t ** -1.0), window=(100.0, 150.0))
     assert verdict.inconclusive
     assert "tie" in verdict.reason
     assert verdict.exponential is not None and verdict.polynomial is not None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bresse.model import (
+    DNN_RTOL,
     BeamParameters,
     DampingProfile,
     DampingShape,
@@ -75,8 +76,9 @@ def test_geometry_admissibility_detects_resonant_length():
     assert ok.gap > ok.tol
     # the unit setup (l=0.5, multiples of 2*pi) is safely admissible
     assert check_dnn_admissible(beam()).ok
-    # widening the tolerance flips the verdict
-    assert not check_dnn_admissible(beam(l=1.0, L=3.2), tol_abs=0.1).ok
+    # the tolerance is DNN_RTOL * L: refused just inside it, accepted just outside
+    assert not check_dnn_admissible(beam(l=1.0, L=math.pi * (1 + 0.5 * DNN_RTOL))).ok
+    assert check_dnn_admissible(beam(l=1.0, L=math.pi * (1 + 2 * DNN_RTOL))).ok
 
 
 def test_piecewise_constant_profile_values():
