@@ -29,14 +29,15 @@ energy degenerate.
 Two coordinate systems describe one state.  In node coordinates (NodeParts)
 the stored values sit node by node: K = S^T W S, also in band storage, the
 mass R, the damping C and the energy and dissipation roots are sparse and
-banded, and the DNN mean-zero constraints are two border rows.  Stepping
-and resolvent scans factor the pencil K + sigma C + sigma^2 R there, with
-pencil_solver: by banded Cholesky at the stepper's real sigma = 2/dt, by
-banded LU at the scan's sigma = i lam.  The reduced coordinates, the public
-state, expand the DNN fields in an orthonormal mean-zero basis built from
-one Householder reflector, so to_nodes and to_reduced convert states in
-O(n); the dense A and M are built only on request, for operator dumps and
-test oracles.
+banded, and the DNN mean-zero constraints are two border rows.  Stepping,
+resolvent scans and the initial modes factor the pencil
+K + sigma C + sigma^2 R there, with pencil_solver: by banded Cholesky at
+the stepper's real sigma = 2/dt and the modes' undamped shift, by banded
+LU at the scan's sigma = i lam; the scan and the modes share one Lanczos
+loop, lanczos_top.  The reduced coordinates, the public state, expand the
+DNN fields in an orthonormal mean-zero basis built from one Householder
+reflector, so to_nodes and to_reduced convert states in O(n); the dense A
+and M are built only on request, for operator dumps and test oracles.
 
 The coefficients are uniform and both ends alike, so when the damping is
 symmetric about L/2 the reflection x -> L - x commutes with the system and
@@ -395,9 +396,60 @@ def pencil_solver(parts: NodeParts, sigma: complex):
             x = banded(b, adjoint)
         if corrections is not None:
             Z, W = corrections[adjoint]
-            x -= Z @ (W @ x)
+            x -= np.dot(Z, np.dot(W, x))  # np.dot: less dispatch than @ on these small products
         return x
     return solve
+
+
+def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: float):
+    """The k largest eigenvalues, increasing, of an operator self-adjoint and
+    positive in the product x^H gram(y), and their gram-normalized Ritz
+    vectors as rows, by Lanczos from start with full reorthogonalization.
+
+    The basis holds up to maxiter vectors of start's size and dtype.
+    Convergence is tested with LAPACK stemr on the top k pairs of the
+    tridiagonal matrix, first once the basis holds 2k - 1 vectors (or
+    maxiter), then each time it has grown by an eighth, and whenever the new
+    off-diagonal beta alone meets the test: each pair's residual
+    |apply(x) - theta x| must be at most rtol times the largest value.
+    Iterates that overflow return infinite values and no vectors; no
+    convergence in maxiter steps raises LinAlgError."""
+    V, GVc = np.empty((2, maxiter, start.size), dtype=start.dtype)  # GVc: conj(gram(V))
+    alpha, beta = np.empty(maxiter), np.empty(maxiter + 1)
+    stemr, = scipy.linalg.get_lapack_funcs(("stemr",), (alpha,))
+    w, Gw = start, gram(start)
+    beta[0] = np.sqrt(np.vdot(w, Gw).real)
+    check = min(2 * k - 1, maxiter)
+    for j in range(maxiter):
+        V[j], GVc[j] = w / beta[j], Gw.conj() / beta[j]
+        w = apply(V[j])
+        h = GVc[:j + 1] @ w
+        w -= h @ V[:j + 1]
+        w -= (GVc[:j + 1] @ w) @ V[:j + 1]  # twice is enough
+        Gw = gram(w)
+        alpha[j] = h[j].real
+        beta[j + 1] = np.sqrt(max(np.vdot(w, Gw).real, 0.0))
+        if not np.isfinite(beta[j + 1]):  # an overflow in w reaches beta
+            return np.full(k, np.inf), None
+        size = j + 1
+        # such a beta passes every pair (|S| <= 1, and the top Ritz value is at
+        # least every alpha); checked now, as the Krylov space may be
+        # exhausted, and stepping on would make ghost copies of the top pairs
+        if size < check and beta[size] > rtol * alpha[:size].max():
+            continue
+        if size < k:
+            raise np.linalg.LinAlgError(f"Krylov space exhausted at {size} < {k} vectors")
+        check = size + size // 8
+        # range 2: by index; stemr overwrites its off-diagonal, whose last
+        # entry is workspace
+        _, vals, S, info = stemr(alpha[:size], beta[1:size + 1].copy(), 2, 0.0, 0.0,
+                                 size - k + 1, size)
+        if info:
+            raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
+        vals, S = vals[:k], S[:, :k]
+        if np.all(beta[size] * np.abs(S[-1]) <= rtol * vals[-1]):
+            return vals, S.T @ V[:size]
+    raise np.linalg.LinAlgError(f"Lanczos did not converge in {maxiter} steps")
 
 
 def half_dimension(bc: BoundaryCondition, n: int) -> int:
@@ -405,11 +457,16 @@ def half_dimension(bc: BoundaryCondition, n: int) -> int:
     return 3 * n - (3 if bc is BoundaryCondition.DDD else 1)
 
 
-def check_dense_cap(dim: int) -> None:
-    """Refuse a dense dim x dim build above DENSE_CAP, before it allocates."""
-    if dim > DENSE_CAP:
+def check_dense_cap(rows: int, cols: int | None = None) -> None:
+    """Refuse a dense rows x cols array (square by default) above the
+    DENSE_CAP x DENSE_CAP elements of the largest square build, before it
+    allocates."""
+    cols = rows if cols is None else cols
+    if rows * cols > DENSE_CAP ** 2:
+        what = (f"dimension {rows}" if rows == cols
+                else f"{rows} x {cols} basis, over {DENSE_CAP}^2 elements,")
         raise DenseSolverCapError(
-            f"dimension {dim} exceeds the dense solver cap {DENSE_CAP}; use a smaller n")
+            f"{what} exceeds the dense solver cap {DENSE_CAP}; use a smaller n")
 
 
 def _gram(T: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -433,10 +490,10 @@ class DiscreteSystem:
     in reduced coordinates.  The sparse node-level parts carry the physics;
     energy and dissipation are evaluated from them in O(n).  The dense
     half-size stiffness and damping Grams (reduced_block) are built from
-    them on first use (for the initial data, and the spectrum of a system
-    without mirror symmetry), and the dense A and M, which read that block,
-    only on request (operator dumps and test oracles), all below the dense
-    cap.  M is symmetric positive definite; the damping enters A only on the
+    them on first use (for the spectrum of a system without mirror
+    symmetry), and the dense A and M, which read that block, only on
+    request (operator dumps and test oracles), all below the dense cap.  M
+    is symmetric positive definite; the damping enters A only on the
     shear-velocity block.
     """
 

@@ -20,16 +20,18 @@ the guards check every step from those.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from .config import auto_dt
-from .discretize import DiscreteSystem, pencil_solver
+from .discretize import (DiscreteSystem, check_dense_cap, half_dimension, lanczos_top,
+                         pencil_solver, to_nodes, to_reduced)
+from .model import BoundaryCondition
 
 
 class NumericalBlowupError(RuntimeError):
@@ -45,6 +47,7 @@ class SingularStepError(RuntimeError):
 
 
 SMOOTH_FRACTION = 0.1
+MODE_RTOL = 1e-13  # mode Lanczos residual over the largest Ritz value
 BLOCK = 64  # states stepped between two energy checks
 
 
@@ -69,22 +72,68 @@ def default_dt(system: DiscreteSystem) -> float:
     return auto_dt(system.params, system.grid.n)
 
 
-def undamped_modes(system: DiscreteSystem):
-    """Frequencies and shapes of the conservative part, by increasing frequency,
-    from one symmetric solve K phi = w^2 R phi with K and R the stiffness and
-    velocity blocks of M.  Mode k spans the states (phi_k, 0) and
-    (0, w_k phi_k); the shapes are scaled so each of those carries energy 1/2.
+def smooth_mode_count(h: int) -> int:
+    """Modes in RandomSmooth data on a half size h: the lowest SMOOTH_FRACTION."""
+    return max(1, math.ceil(SMOOTH_FRACTION * h))
+
+
+def _mode_steps(k: int, h: int) -> int:
+    """Lanczos iteration bound for the k lowest of h modes.  A basis of that
+    many steps above the dense cap's element budget is refused
+    (DenseSolverCapError) before it is allocated."""
+    steps = min(h, 4 * k + 20)
+    check_dense_cap(steps, h)
+    return steps
+
+
+def check_smooth_size(bc: BoundaryCondition, n: int) -> None:
+    """Refuse, from (bc, n) before assembly, RandomSmooth data whose Lanczos
+    basis exceeds the dense cap's element budget."""
+    h = half_dimension(bc, n)
+    _mode_steps(smooth_mode_count(h), h)
+
+
+def undamped_modes(system: DiscreteSystem, k: int):
+    """Frequencies and shapes of the k lowest modes of the conservative part,
+    by increasing frequency: K phi = w^2 R phi on the border rows, with K and
+    R the node stiffness and mass.
+
+    Lanczos in reduced coordinates (which keep the border rows exactly) on
+    phi -> (K + sR)^-1 R phi in the R product, s = (c_min / L)^2, the pencil
+    factored once by pencil_solver without damping at sigma = sqrt(s); at
+    most min(h, 4k + 20) steps (h = d / 2), every pair converged to a
+    residual of MODE_RTOL, else LinAlgError; a basis too large for the dense
+    cap is refused before anything is factored.  Each shape is signed so
+    that its R product with the seeded start g =
+    default_rng(0).standard_normal(h) is positive: the data depend on the
+    mesh alone, not on the solver's signs.  Mode k spans the states
+    (phi_k, 0) and (0, w_k phi_k); the shapes (columns) are scaled so each
+    of those carries energy 1/2.
     """
-    K, _ = system.reduced_block
-    w2, shapes = scipy.linalg.eigh(K, np.diag(system.velocity_mass))
-    freqs = np.sqrt(w2)
-    return freqs, shapes / freqs
+    h = system.dimension // 2
+    if not 1 <= k <= h:
+        raise ValueError(f"mode index {k} outside 1..{h}")
+    steps = _mode_steps(k, h)
+    parts = system.parts
+    s = (system.params.min_wave_speed / system.params.L) ** 2
+    solve = pencil_solver(dataclasses.replace(parts, damping=0.0), math.sqrt(s))
+    R, V = parts.mass, system.velocity_mass
+    g = np.random.default_rng(0).standard_normal(h)
+    theta, X = lanczos_top(lambda y: to_reduced(parts, solve(R * to_nodes(parts, y))),
+                           lambda y: V * y, g, k, steps, MODE_RTOL)
+    if X is None:
+        raise np.linalg.LinAlgError("mode Lanczos overflowed")
+    X = X[::-1]
+    X *= np.sign(X @ (V * g))[:, None]
+    freqs = np.sqrt(1.0 / theta[::-1] - s)
+    return freqs, X.T / freqs
 
 
 def make_initial(system: DiscreteSystem, spec: InitialData | np.ndarray) -> np.ndarray:
     """The initial state of spec, energy-normalized.  An array is a reduced
     state, used as is once checked to be real, of the state's shape, and to
-    carry energy."""
+    carry energy.  A Modal index outside 1..d/2 is refused before any
+    factorization."""
     if isinstance(spec, np.ndarray):
         if spec.dtype.kind not in "iuf" or spec.shape != (system.dimension,):
             raise ValueError(f"initial state must be a real array of shape "
@@ -94,17 +143,16 @@ def make_initial(system: DiscreteSystem, spec: InitialData | np.ndarray) -> np.n
             raise ValueError("initial state carries no energy")
         return U
 
-    freqs, shapes = undamped_modes(system)
+    h = system.dimension // 2
     if isinstance(spec, Modal):
-        if not 1 <= spec.index <= len(freqs):
-            raise ValueError(f"mode index {spec.index} outside 1..{len(freqs)}")
-        U = np.concatenate([shapes[:, spec.index - 1], np.zeros(len(freqs))])
+        _, shapes = undamped_modes(system, spec.index)
+        U = np.concatenate([shapes[:, -1], np.zeros(h)])
     elif isinstance(spec, RandomSmooth):
-        k = max(1, math.ceil(SMOOTH_FRACTION * len(freqs)))
+        k = smooth_mode_count(h)
+        freqs, shapes = undamped_modes(system, k)
         rng = np.random.default_rng(spec.seed)
         coeff = rng.standard_normal((k, 2))
-        U = np.concatenate([shapes[:, :k] @ coeff[:, 0],
-                            shapes[:, :k] @ (freqs[:k] * coeff[:, 1])])
+        U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
     else:
         raise TypeError(f"unknown initial data {spec!r}")
     return U / math.sqrt(system.energy(U))

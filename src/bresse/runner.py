@@ -21,7 +21,7 @@ import scipy.sparse
 from . import spectral
 from .config import RunConfig, SweepSpec, config_id, expand_sweep, to_dict
 from .discretize import assemble, check_dense_cap, half_dimension
-from .evolve import RandomSmooth, make_initial, simulate
+from .evolve import RandomSmooth, check_smooth_size, make_initial, simulate
 from .fitting import (FitWindowError, bt_map, classify_decay, fit_exponential,
                       fit_polynomial)
 from .model import classify_regime, predicted_decay
@@ -84,8 +84,10 @@ def _dump_operators(system, out_dir: str) -> None:
 
 def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> dict:
     """Time-domain pipeline: evolve seeded smooth data, fit the tail, report."""
-    # refused before assembly: the initial modes are dense at half size, a dump at full size
-    check_dense_cap((2 if dump_operators else 1) * half_dimension(cfg.bc, cfg.n))
+    # refused before assembly: a dump is dense at full size, the initial modes' basis is tall
+    if dump_operators:
+        check_dense_cap(2 * half_dimension(cfg.bc, cfg.n))
+    check_smooth_size(cfg.bc, cfg.n)
     if system is None:
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
     cid = config_id(cfg)

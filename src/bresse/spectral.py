@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import check_dense_cap, pencil_solver
+from .discretize import check_dense_cap, lanczos_top, pencil_solver
 
 RESONANCE_RTOL = 1e-14
 LANCZOS_RTOL = 1e-10     # Ritz residual over Ritz value at convergence
@@ -117,7 +117,7 @@ def _axis_resolvent(system):
     The Lanczos start is fixed and generic: it misses no symmetry class."""
     parts = system.parts
     K, R, C, m = parts.stiffness, parts.mass, parts.damping, parts.mass.size
-    start = system.node_state(np.random.default_rng(0).standard_normal(system.dimension))
+    start = system.node_state(np.random.default_rng(0).standard_normal(system.dimension) + 0j)
     gram = lambda x: np.concatenate([K @ x[:m], R * x[m:]])  # noqa: E731
     floor = resonance_floor(system, 0.0)
 
@@ -132,35 +132,13 @@ def _axis_resolvent(system):
             q = lu_solve(R * v[m:] + (il * R + (-C if adjoint else C)) * v[:m], adjoint)
             return np.concatenate([q, il * q - v[:m]])
 
-        theta = _lanczos_top(lambda v: -solve(solve(v, False), True), gram, start)
+        theta = lanczos_top(lambda v: -solve(solve(v, False), True), gram, start, 1,
+                            LANCZOS_MAXITER, LANCZOS_RTOL)[0][0]
         sigma = 1.0 / np.sqrt(theta)  # 0 for an overflowing, resonant solve
         if not sigma > RESONANCE_RTOL * abs(lam) + floor:  # resonance_floor(system, lam)
             raise ResonantFrequencyError(lam, sigma)
         return float(np.sqrt(theta))
     return norm
-
-
-def _lanczos_top(apply, gram, start) -> float:
-    """Largest eigenvalue of an operator self-adjoint and positive in x^H gram(y),
-    by Lanczos with full reorthogonalization; LinAlgError if it does not converge."""
-    V, GVc = np.empty((2, LANCZOS_MAXITER, start.size), dtype=complex)  # GVc: conj(gram(V))
-    w, Gw, alpha = start, gram(start), []
-    beta = [np.sqrt(np.vdot(w, Gw).real)]
-    for j in range(LANCZOS_MAXITER):
-        V[j], GVc[j] = w / beta[-1], Gw.conj() / beta[-1]
-        w = apply(V[j])
-        h = GVc[:j + 1] @ w
-        w -= h @ V[:j + 1]
-        w -= (GVc[:j + 1] @ w) @ V[:j + 1]  # twice is enough
-        Gw = gram(w)
-        alpha.append(h[j].real)
-        beta.append(np.sqrt(max(np.vdot(w, Gw).real, 0.0)))
-        if not np.isfinite(beta[-1]):  # an overflow in w reaches beta
-            return np.inf
-        vals, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta[1:-1], check_finite=False)
-        if beta[-1] * abs(vecs[-1, -1]) <= LANCZOS_RTOL * vals[-1]:
-            return float(vals[-1])
-    raise np.linalg.LinAlgError(f"resolvent Lanczos did not converge in {LANCZOS_MAXITER} steps")
 
 
 def resolvent_norm(system, lam: float) -> float:

@@ -301,16 +301,29 @@ def test_cli_dump_operators_refused_above_dense_cap(tmp_path, capsys, monkeypatc
     assert not os.path.exists(raw["outputs"])  # no .mtx file, nor any other
 
 
-def test_cli_simulate_refused_above_dense_cap(tmp_path, capsys, monkeypatch):
-    """The initial state's dense half-size eigensolve is refused like A and M,
-    before the system is assembled."""
+# DNN n = 30: half size 89; RandomSmooth wants its 9 lowest modes, whose
+# Lanczos basis holds min(89, 4 * 9 + 20) = 56 vectors of 89 entries (4,984)
+
+
+def test_cli_simulate_runs_above_dense_cap_half_size(tmp_path, monkeypatch):
+    """simulate builds no dense half-size block: a half size above the cap
+    runs, as long as the initial modes' basis fits the cap's element budget."""
+    monkeypatch.setattr(discretize, "DENSE_CAP", 80)  # 6,400 elements
+    path, raw = write_cfg(tmp_path, n=30, T=0.2)
+    assert cli.main(["simulate", path]) == 0
+    report = json.loads(Path(raw["outputs"], "report.json").read_text())
+    assert report["energy_initial"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cli_simulate_refused_above_basis_budget(tmp_path, capsys, monkeypatch):
+    """An initial-mode basis above the cap's element budget is refused from
+    (bc, n), before the system is assembled."""
     monkeypatch.setattr(runner, "assemble", no_assembly)
-    monkeypatch.setattr(discretize, "DENSE_CAP", 20)  # DNN n = 8: half size 23
-    path, raw = write_cfg(tmp_path, n=8)
+    monkeypatch.setattr(discretize, "DENSE_CAP", 70)  # 4,900 elements
+    path, raw = write_cfg(tmp_path, n=30)
     assert cli.main(["simulate", path]) == 3
     assert "smaller n" in capsys.readouterr().err
-    for name in ("energy.csv", "report.json"):
-        assert not os.path.exists(os.path.join(raw["outputs"], name))
+    assert not os.path.exists(raw["outputs"])
 
 
 def test_cli_singular_step_factor_exit_code(tmp_path, capsys, monkeypatch):
@@ -342,6 +355,16 @@ def test_cli_unconverged_lanczos_exit_code(tmp_path, capsys, monkeypatch):
     path, _ = write_cfg(tmp_path, n=8)
     assert cli.main(["spectrum", path]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_unconverged_mode_lanczos_exit_code(tmp_path, capsys, monkeypatch):
+    """The initial modes' Lanczos run that cannot meet its residual test in
+    its step bound exits 3, before any output is written."""
+    monkeypatch.setattr(evolve, "MODE_RTOL", 0.0)
+    path, raw = write_cfg(tmp_path, n=8)
+    assert cli.main(["simulate", path]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(raw["outputs"], "report.json"))
 
 
 def test_spectrum_skips_peaks_on_the_resonance_floor(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from bresse.evolve import (
     energy_balance_residual,
     make_initial,
     simulate,
+    smooth_mode_count,
     undamped_modes,
 )
 from bresse import discretize
@@ -323,19 +324,73 @@ def test_default_dt_rule():
     assert default_dt(system) == system.grid.h / (2.0 * c)
 
 
-def test_modal_initial_data():
+def dense_modes(system, k):
+    """The k lowest undamped modes from the dense oracle
+    eigh(reduced_block[0], diag(velocity_mass)), signed by undamped_modes'
+    rule (a positive mass product with default_rng(0).standard_normal(h))
+    and scaled as its shapes are."""
+    V = system.velocity_mass
+    w2, shapes = scipy.linalg.eigh(system.reduced_block[0], np.diag(V))
+    freqs, shapes = np.sqrt(w2[:k]), shapes[:, :k]
+    g = np.random.default_rng(0).standard_normal(V.size)
+    shapes *= np.sign((V * g) @ shapes)
+    return freqs, shapes / freqs
+
+
+@pytest.mark.parametrize("params", [beam(), beam(kappa0=2.0)], ids=["equal", "general"])
+@pytest.mark.parametrize("n", [6, 10, 16, 32])
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_undamped_modes_match_dense_oracle(bc, n, params):
+    """The Lanczos modes behind RandomSmooth (the lowest tenth) agree with the
+    dense generalized eigensolve: frequencies to 1e-12 relative, the signed
+    shapes to 1e-10 of their largest entry.  The closest relative gap among
+    these modes is 3.5e-4 (DDD, n = 32, equal speeds)."""
+    system = system_for(params, interval(), bc, n)
+    k = smooth_mode_count(system.dimension // 2)
+    freqs, shapes = undamped_modes(system, k)
+    want_freqs, want_shapes = dense_modes(system, k)
+    np.testing.assert_allclose(freqs, want_freqs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(shapes, want_shapes, rtol=0,
+                               atol=1e-10 * np.abs(want_shapes).max())
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_random_smooth_matches_dense_modes(bc):
+    """make_initial's RandomSmooth state is the one the dense modes give with
+    the same sign rule and the same seeded coefficients."""
+    system = system_for(beam(kappa0=2.0), interval(), bc, 24)
+    h = system.dimension // 2
+    k = smooth_mode_count(h)
+    freqs, shapes = dense_modes(system, k)
+    coeff = np.random.default_rng(4).standard_normal((k, 2))
+    U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
+    U /= np.sqrt(system.energy(U))
+    np.testing.assert_allclose(make_initial(system, RandomSmooth(seed=4)), U,
+                               rtol=0, atol=1e-10 * np.abs(U).max())
+
+
+def test_modal_initial_data(monkeypatch):
     system = system_for(beam(), interval(a0=0.0), DNN, 12)
     U = make_initial(system, Modal(1))
     assert system.energy(U) == pytest.approx(1.0, rel=1e-12)
     # a single undamped mode keeps its energy exactly
     series = simulate(system, U, T=2.0, dt=0.01)
     assert np.abs(series.energy - 1.0).max() <= 1e-11
-    freqs, _ = undamped_modes(system)
+    h = system.dimension // 2
+    freqs, _ = undamped_modes(system, h)
     assert np.all(np.diff(freqs) >= 0)
-    with pytest.raises(ValueError):
-        make_initial(system, Modal(0))
-    with pytest.raises(ValueError):
-        make_initial(system, Modal(10 ** 6))
+    # the last mode is reachable; an index outside 1..h is refused before
+    # anything is factored
+    last = make_initial(system, Modal(h))
+    assert system.energy(last) == pytest.approx(1.0, rel=1e-12)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a refused mode index was factored")
+
+    monkeypatch.setattr(evolve, "pencil_solver", no_factor)
+    for index in (0, h + 1, 10 ** 6):
+        with pytest.raises(ValueError, match=f"mode index {index} outside 1..{h}"):
+            make_initial(system, Modal(index))
 
 
 def test_random_smooth_determinism_and_normalization():
