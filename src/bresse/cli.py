@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 invalid configuration or inputs, 3 numerical
 failure (blowup, resonance, dense-solver cap, a failed factorization) or a
-sweep worker process that died.
+forked worker process (of a sweep or a spectrum) that died.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .config import ConfigError, load_config, load_sweep
 from .discretize import AdmissibilityError, DenseSolverCapError
 from .evolve import EnergyMonotonicityError, NumericalBlowupError, SingularStepError
 from .plots import PlotInputError, emit_plots
-from .runner import SweepWorkerError, simulate_run, spectrum_run, sweep_run
+from .parallel import WorkerDiedError
+from .runner import simulate_run, spectrum_run, sweep_run
 from .spectral import ResonantFrequencyError
 
 _CONFIG_ERRORS = (ConfigError, AdmissibilityError, PlotInputError, ValueError)
@@ -58,13 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--dump-operators", action="store_true",
                       help="also write A.mtx and M.mtx (Matrix Market)")
     spec.add_argument("--workers", type=int, default=1,
-                      help="accepted and ignored: the scan runs in one thread (N >= 1)")
+                      help="accepted and ignored: large spectra run their two mirror "
+                           "sectors and their scan frequencies in one process per "
+                           "available CPU; restrict the CPU set to use fewer (N >= 1)")
 
     swp = sub.add_parser("sweep", help="run a parameter grid and write atlas.csv")
     _config_arg(swp, "sweep")
     swp.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored: points run in one forked process per "
-                          "available CPU; restrict the CPU set to use fewer (N >= 1)")
+                     help="accepted and ignored: points run in one process per available "
+                          "CPU, and a point's spectrum in the process of its point; restrict "
+                          "the CPU set to use fewer (N >= 1)")
 
     plt = sub.add_parser("plots", help="emit gnuplot scripts into a run directory")
     plt.add_argument("directory", help="directory holding the run CSV files")
@@ -103,8 +107,8 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except SweepWorkerError as err:
-        print(f"sweep failed: {err}", file=sys.stderr)
+    except WorkerDiedError as err:
+        print(f"{args.command} failed: {err}", file=sys.stderr)
         return 3
     except _CONFIG_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

@@ -42,14 +42,14 @@ and M are built only on request, for operator dumps and test oracles.
 The coefficients are uniform and both ends alike, so when the damping is
 symmetric about L/2 the reflection x -> L - x commutes with the system and
 splits it into two invariant sectors; mirror_basis spans each in node
-coordinates, and energy_blocks hands the spectrum one dense block per
-sector.
+coordinates, and energy_blocks hands the spectrum a builder of one dense
+block per sector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -546,21 +546,25 @@ class DiscreteSystem:
         X = to_nodes(self.parts, np.eye(self._half))
         return energy_block(self.parts, X, self.slices["psi"])
 
-    def energy_blocks(self):
-        """(K, V, C, psi) for each invariant subspace of the generator, one at
-        a time: the dense stiffness K and diagonal velocity mass V of its
-        coordinates and the damping Gram C on its psi coordinates psi.  A
-        mirror-symmetric system splits into its sectors J = +1 and J = -1 in
-        mirror_basis coordinates (V = 1); any other is one block, the reduced
-        coordinates."""
+    def energy_blocks(self) -> list:
+        """One builder per invariant subspace of the generator: called, it
+        returns (K, V, C, psi), the dense stiffness K and diagonal velocity
+        mass V of the subspace's coordinates and the damping Gram C on its
+        psi coordinates psi.  A mirror-symmetric system splits into its
+        sectors J = +1 and J = -1 in mirror_basis coordinates (V = 1); any
+        other is one block, the reduced coordinates."""
         if not mirror_symmetric(self.parts):
-            K, C = self.reduced_block
-            yield K, self.velocity_mass, C, self.slices["psi"]
-            return
-        for sign in (1.0, -1.0):
-            X, cols = mirror_basis(self.parts, sign)
-            K, C = energy_block(self.parts, X, cols["psi"])
-            yield K, np.ones(K.shape[0]), C, cols["psi"]
+            return [self._reduced_energy_block]
+        return [partial(self._sector_energy_block, sign) for sign in (1.0, -1.0)]
+
+    def _reduced_energy_block(self):
+        K, C = self.reduced_block
+        return K, self.velocity_mass, C, self.slices["psi"]
+
+    def _sector_energy_block(self, sign: float):
+        X, cols = mirror_basis(self.parts, sign)
+        K, C = energy_block(self.parts, X, cols["psi"])
+        return K, np.ones(K.shape[0]), C, cols["psi"]
 
     @cached_property
     def M(self) -> np.ndarray:

@@ -15,6 +15,9 @@ class PlotInputError(ValueError):
         lines = [f"cannot write {script}: missing input {inp}" for script, inp in missing]
         super().__init__("\n".join(lines))
 
+    def __reduce__(self):  # rebuilt from its arguments, not its message, when unpickled
+        return type(self), (self.missing,)
+
 
 _COMMON = 'set datafile separator ","\nset key off\nset term pngcairo size 900,600\n'
 

@@ -6,19 +6,15 @@ two-space-indented JSON) so that identical configs rerun to identical bytes.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
-import signal
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from . import spectral
+from . import parallel, spectral
 from .config import RunConfig, SweepSpec, config_id, expand_sweep, to_dict
 from .discretize import assemble, check_dense_cap, half_dimension
 from .evolve import RandomSmooth, check_smooth_size, make_initial, simulate
@@ -256,36 +252,6 @@ def _sweep_point(cfg: RunConfig) -> dict:
     return row
 
 
-def openblas_functions(verb: str) -> list:
-    """{prefix}_{verb}_num_threads{suffix} ("set" or "get") of each OpenBLAS
-    copy loaded in this process (numpy and scipy may bundle one each), found
-    through /proc/self/maps: none where that file is missing, and none for a
-    copy that exports no such name."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({fields[5] for fields in map(str.split, fh)
-                            if len(fields) == 6 and "openblas" in fields[5].lower()})
-    except OSError:
-        return []
-    names = [f"{prefix}_{verb}_num_threads{suffix}"
-             for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")]
-    functions = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # already loaded: the same handle
-        except OSError:
-            continue
-        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-        if fn is not None:
-            fn.argtypes, fn.restype = ([ctypes.c_int], None) if verb == "set" else ([], ctypes.c_int)
-            functions.append(fn)
-    return functions
-
-
-class SweepWorkerError(RuntimeError):
-    """A sweep's worker process died before it returned its point."""
-
-
 @dataclass(frozen=True)
 class SweepResult:
     atlas: str
@@ -296,52 +262,22 @@ class SweepResult:
 def sweep_run(spec: SweepSpec) -> SweepResult:
     """Run every sweep point, then write one atlas row each.
 
-    Points run in forked worker processes, one per CPU this process may use
-    (at most one per point), largest mesh first. With one CPU, where
-    ``fork`` is unavailable, or while another thread runs (a fork would copy
-    the locks it holds), they run in this process. Rows are sorted by config
-    id, so the atlas does not depend on the order points finish in; failed
-    points keep their row with the error message instead of aborting the
-    sweep. A worker that dies raises SweepWorkerError, and no atlas is
-    written.
+    Points run through fork_map, largest mesh first, in one forked child per
+    CPU this process may use (at most one per point), each taking the next
+    point when it is done with one; this process only waits, so its memory
+    does not grow with the points.  A point's spectrum runs in the process
+    of its point.  With one CPU the points run in this process.  Rows are
+    sorted by config id, so the atlas does not depend on which process ran
+    a point; failed points keep their row with the error message instead of
+    aborting the sweep.  A child that dies raises WorkerDiedError, and no
+    atlas is written.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     import scipy.special  # noqa: F401 -- the points' only lazy import, loaded once before the fork
 
     configs = sorted(expand_sweep(spec), key=lambda cfg: -cfg.n)
     os.makedirs(spec.outputs, exist_ok=True)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    processes = min(len(configs), cpus)
-    if (processes < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        processes = 1
-        rows = list(map(_sweep_point, configs))
-    else:
-        parent = os.getpid()
-
-        def init_worker():
-            if sys.platform == "linux":
-                # a worker blocks on the task queue for ever once its parent is killed
-                ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
-                if os.getppid() != parent:  # killed before the call above
-                    os._exit(1)
-            # the workers fill the CPUs already; more BLAS threads oversubscribe them
-            for set_threads in openblas_functions("set"):
-                set_threads(1)
-
-        try:
-            with ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                                     initializer=init_worker) as pool:
-                rows = list(pool.map(_sweep_point, configs))
-        except BrokenProcessPool:
-            raise SweepWorkerError("a worker process died before returning its point; "
-                                   "no atlas written") from None
+    processes = parallel.processes(len(configs))
+    rows = parallel.fork_map(_sweep_point, configs, in_parent=False)
     rows.sort(key=lambda row: row["config_id"])
     lines = [",".join(ATLAS_COLUMNS)]
     lines += [",".join(_atlas_cell(row[c]) for c in ATLAS_COLUMNS) for row in rows]

@@ -12,7 +12,7 @@ import pytest
 import scipy.io
 import scipy.linalg
 
-from bresse import cli, discretize, evolve, runner, spectral
+from bresse import cli, discretize, evolve, parallel, runner, spectral
 from bresse.config import (
     ConfigError,
     auto_dt,
@@ -534,14 +534,14 @@ def test_dead_sweep_worker_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_pooled_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
     """Two forked workers each read one thread back from every OpenBLAS copy,
-    though the parent runs two; the patched point reports the counts as its
-    error."""
-    getters = runner.openblas_functions("get")
+    though the parent runs two, before and after; the patched point reports
+    the counts as its error."""
+    getters = parallel.openblas_functions("get")
     if not getters:
         pytest.skip("no OpenBLAS thread-count getter found in this process")
 
     def report_threads(cfg, **kwargs):
-        raise RuntimeError(" ".join(str(get()) for get in runner.openblas_functions("get")))
+        raise RuntimeError(" ".join(str(get()) for get in parallel.openblas_functions("get")))
 
     monkeypatch.setattr(runner, "simulate_run", report_threads)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -550,13 +550,15 @@ def test_pooled_sweep_workers_run_one_blas_thread(tmp_path, monkeypatch):
     path.write_text(json.dumps(spec_dict))
     before = [get() for get in getters]
     try:
-        for set_threads in runner.openblas_functions("set"):
+        for set_threads in parallel.openblas_functions("set"):
             set_threads(2)
         result = sweep_run(load_sweep(str(path)))
+        after = [get() for get in getters]
     finally:
-        for set_threads, count in zip(runner.openblas_functions("set"), before):
+        for set_threads, count in zip(parallel.openblas_functions("set"), before):
             set_threads(count)
     assert result.processes == 2
+    assert after == [2] * len(getters)
     with open(result.atlas) as fh:
         rows = [r.split(",") for r in fh.read().splitlines()[1:]]
     ones = " ".join(["1"] * len(getters))
