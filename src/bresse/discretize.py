@@ -41,15 +41,15 @@ and M are built only on request, for operator dumps and test oracles.
 
 The coefficients are uniform and both ends alike, so when the damping is
 symmetric about L/2 the reflection x -> L - x commutes with the system and
-splits it into two invariant sectors; mirror_basis spans each in node
-coordinates, and energy_blocks hands the spectrum a builder of one dense
-block per sector.
+splits it into two invariant sectors.  mirror_basis spans one sector, or
+the whole constrained space, in node coordinates, and energy_block turns
+such a basis into the dense block the spectrum factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -306,25 +306,30 @@ def mirror_symmetric(parts: NodeParts) -> bool:
             and np.abs(c[image] - c).max() <= MIRROR_RTOL * np.abs(c).max())
 
 
-def mirror_basis(parts: NodeParts, sign: float) -> tuple[np.ndarray, dict[str, slice]]:
-    """Node half-states X spanning {x : J x = sign x, border^T x = 0}, with
+def mirror_basis(parts: NodeParts, sign: float | None) -> tuple[np.ndarray, dict[str, slice]]:
+    """Node half-states X spanning {x : J x = sign x, border^T x = 0}, or
+    the whole constrained space {x : border^T x = 0} for sign None, with
     X^T R X = I, and the column slice of each field (columns field by field).
 
     In y = R^1/2 x a column is a mirror pair (e_i + t e_j)/sqrt(2), t the
     sign times the field's parity, or for t = +1 the mid node that J maps to
-    itself.  A border column (mu on a DNN psi or omega) is symmetric, so it
-    lies in its field's t = +1 sector; there columns 1.. of one Householder
+    itself; for sign None it is a node's unit vector.  A border column (mu
+    on a DNN psi or omega) is symmetric, so it lies in its field's t = +1
+    sector; there, and in the whole space, columns 1.. of one Householder
     reflector of its coefficients drop its direction.
     """
     scale = 1.0 / np.sqrt(parts.mass)
     blocks = []
     for parity, pos in zip(MIRROR_PARITY, parts.node_slices.values()):
-        t, k = sign * parity, pos.size  # the mirror of row i is row k - 1 - i
-        j, mid = np.arange(k // 2), t > 0 and k % 2 == 1
-        Y = np.zeros((k, j.size + mid))
-        Y[j, j], Y[k - 1 - j, j] = np.sqrt(0.5), t * np.sqrt(0.5)
-        if mid:
-            Y[k // 2, -1] = 1.0
+        k, t = pos.size, 1.0 if sign is None else sign * parity
+        if sign is None:
+            Y = np.eye(k)
+        else:  # the mirror of row i is row k - 1 - i
+            j, mid = np.arange(k // 2), t > 0 and k % 2 == 1
+            Y = np.zeros((k, j.size + mid))
+            Y[j, j], Y[k - 1 - j, j] = np.sqrt(0.5), t * np.sqrt(0.5)
+            if mid:
+                Y[k // 2, -1] = 1.0
         Y *= scale[pos, None]
         G = parts.border[pos]
         G = G[:, np.any(G, axis=0)]
@@ -488,13 +493,11 @@ class DiscreteSystem:
 
     State ordering is (phi, psi, omega, u, v, z) with u, v, z the velocities,
     in reduced coordinates.  The sparse node-level parts carry the physics;
-    energy and dissipation are evaluated from them in O(n).  The dense
-    half-size stiffness and damping Grams (reduced_block) are built from
-    them on first use (for the spectrum of a system without mirror
-    symmetry), and the dense A and M, which read that block, only on
-    request (operator dumps and test oracles), all below the dense cap.  M
-    is symmetric positive definite; the damping enters A only on the
-    shear-velocity block.
+    energy and dissipation are evaluated from them in O(n).  The dense A and
+    M, and the reduced-coordinate Grams they read (reduced_block), are built
+    from them only on request (operator dumps and test oracles), below the
+    dense cap.  M is symmetric positive definite; the damping enters A only
+    on the shear-velocity block.
     """
 
     def __init__(self, params, profile, bc, grid, parts: NodeParts, slices,
@@ -541,30 +544,11 @@ class DiscreteSystem:
     @cached_property
     def reduced_block(self) -> tuple[np.ndarray, np.ndarray]:
         """energy_block of the reduced coordinates: the dense stiffness block
-        of M and the damping Gram on the shear-velocity block."""
+        of M and the damping Gram on the shear-velocity block of A, which
+        alone read it."""
         check_dense_cap(self._half)
         X = to_nodes(self.parts, np.eye(self._half))
         return energy_block(self.parts, X, self.slices["psi"])
-
-    def energy_blocks(self) -> list:
-        """One builder per invariant subspace of the generator: called, it
-        returns (K, V, C, psi), the dense stiffness K and diagonal velocity
-        mass V of the subspace's coordinates and the damping Gram C on its
-        psi coordinates psi.  A mirror-symmetric system splits into its
-        sectors J = +1 and J = -1 in mirror_basis coordinates (V = 1); any
-        other is one block, the reduced coordinates."""
-        if not mirror_symmetric(self.parts):
-            return [self._reduced_energy_block]
-        return [partial(self._sector_energy_block, sign) for sign in (1.0, -1.0)]
-
-    def _reduced_energy_block(self):
-        K, C = self.reduced_block
-        return K, self.velocity_mass, C, self.slices["psi"]
-
-    def _sector_energy_block(self, sign: float):
-        X, cols = mirror_basis(self.parts, sign)
-        K, C = energy_block(self.parts, X, cols["psi"])
-        return K, np.ones(K.shape[0]), C, cols["psi"]
 
     @cached_property
     def M(self) -> np.ndarray:

@@ -265,8 +265,9 @@ def sweep_run(spec: SweepSpec) -> SweepResult:
     Points run through fork_map, largest mesh first, in one forked child per
     CPU this process may use (at most one per point), each taking the next
     point when it is done with one; this process only waits, so its memory
-    does not grow with the points.  A point's spectrum runs in the process
-    of its point.  With one CPU the points run in this process.  Rows are
+    does not grow with the points (taking points here too raised the
+    benchmark sweep's peak RSS from 63.2-63.4 to 72.6-73.1 MB).  A point's
+    spectrum runs in the process of its point.  With one CPU the points run in this process.  Rows are
     sorted by config id, so the atlas does not depend on which process ran
     a point; failed points keep their row with the error message instead of
     aborting the sweep.  A child that dies raises WorkerDiedError, and no

@@ -3,7 +3,8 @@
 The spectrum comes from dense real Schur factorizations of the
 energy-weighted generator F A F^{-1} (M = F^T F), one per invariant
 subspace (two half-size mirror sectors when the system is symmetric under
-x -> L - x, else one block), each filled from one Cholesky factor of its
+x -> L - x, else the whole space), each built from a mass-orthonormal node
+basis (discretize.mirror_basis) and filled from one Cholesky factor of its
 stiffness without forming A, M or F.  Energy-norm resolvents build no
 dense matrix: (i lam - A) U = f is Q q = R f_p +
 (i lam R + C) f_q, p = i lam q - f_q, Q = K - lam^2 R + i lam C the energy
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .discretize import check_dense_cap, lanczos_top, pencil_solver
+from .discretize import (check_dense_cap, energy_block, lanczos_top, mirror_basis,
+                         mirror_symmetric, pencil_solver)
 from .parallel import fork_map
 
 RESONANCE_RTOL = 1e-14
@@ -54,39 +56,45 @@ class ResonantFrequencyError(RuntimeError):
 def eigenvalues(system) -> np.ndarray:
     """Full spectrum of the generator, sorted by imaginary part, cached.
 
-    One real Schur factorization per energy block of the system (its two
-    mirror sectors when it has them, else the whole space).  For a block's
-    stiffness K = L^T L (upper Cholesky factor L), velocity mass V and
-    damping Gram C, F = blockdiag(L, V^1/2) turns its generator into
-    [[0, B], [-B^T, -Ch]] with B = L V^-1/2 and Ch = V^-1/2 C V^-1/2 on the
-    psi-velocity block only.  The dimension is refused above DENSE_CAP
-    before any block exists; gees overwrites each block's array.  The half
+    One real Schur factorization per invariant subspace of the system: its
+    mirror sectors J = +1 and J = -1 when mirror_symmetric holds, else the
+    whole constrained space (_schur_eigenvalues with sign None).  The
+    dimension is refused above DENSE_CAP before any block exists.  The half
     size of each block goes to system.spectrum_blocks.  From dimension
-    SECTOR_FORK_DIM the two sectors run in two processes (fork_map).
+    SECTOR_FORK_DIM the two sectors run in two processes (fork_map), each
+    building its own block.
     """
     if system.spectrum is None:
         check_dense_cap(system.dimension)
-        schur = lambda build: _schur_eigenvalues(*build())  # noqa: E731
+        signs = (1.0, -1.0) if mirror_symmetric(system.parts) else (None,)
+        schur = lambda sign: _schur_eigenvalues(system.parts, sign)  # noqa: E731
         run = fork_map if system.dimension >= SECTOR_FORK_DIM else map
-        vals = list(run(schur, system.energy_blocks()))
+        vals = list(run(schur, signs))
         system.spectrum_blocks = [v.size // 2 for v in vals]
         vals = np.concatenate(vals)
         system.spectrum = vals[np.lexsort((vals.real, vals.imag))]
     return system.spectrum
 
 
-def _schur_eigenvalues(K, V, C, psi) -> np.ndarray:
-    """Eigenvalues of one energy block, in gees order."""
+def _schur_eigenvalues(parts, sign) -> np.ndarray:
+    """Eigenvalues, in gees order, of the generator on mirror_basis(parts,
+    sign).  The basis is mass-orthonormal, so for its stiffness K = L^T L
+    (upper Cholesky factor L) and damping Gram C, F = blockdiag(L, I) turns
+    the generator into [[0, L], [-L^T, -C]], C on the psi-velocity block
+    only; gees overwrites that array."""
+    X, cols = mirror_basis(parts, sign)
+    psi = cols["psi"]
+    K, C = energy_block(parts, X, psi)
+    del X
     h = K.shape[0]
     B = scipy.linalg.cholesky(K)  # upper L
-    B /= np.sqrt(V)
+    del K
     Atil = np.zeros((2 * h, 2 * h), order="F")  # gees works in place on Fortran order
     Atil[:h, h:] = B
     np.negative(B.T, out=Atil[h:, :h])
     del B
-    w = 1.0 / np.sqrt(V[psi])
     v = slice(h + psi.start, h + psi.stop)
-    Atil[v, v] = -(w[:, None] * C * w)
+    Atil[v, v] = -C
     gees, = scipy.linalg.get_lapack_funcs(("gees",), (Atil,))
     # optimal workspace, as schur() queries it: the default minimum is slower
     lwork = int(gees(lambda re, im: None, Atil, lwork=-1, overwrite_a=True)[-2][0].real)

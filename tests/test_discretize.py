@@ -154,26 +154,37 @@ def test_mean_zero_projector_idempotent():
 @pytest.mark.parametrize("bc", [DNN, DDD])
 @pytest.mark.parametrize("n", [7, 8])
 def test_mirror_sectors_split_the_constrained_space(bc, n):
-    """The two mirror sectors are mass-orthonormal, meet the border rows and
-    together span the half-space; in node values each field of a sector
-    column is reflected about L/2 with its sign: phi even, psi and omega odd
-    in the + sector, the opposite in the - sector."""
+    """The two mirror sectors, and the whole-space basis (sign None), are
+    mass-orthonormal, meet the border rows and span the half-space; in node
+    values each field of a sector column is reflected about L/2 with its
+    sign: phi even, psi and omega odd in the + sector, the opposite in the -
+    sector.  The spectrum of an asymmetric system, one whole-space block,
+    builds no reduced-coordinate Grams."""
     system = system_for(beam(), interval(), bc, n)
     parts = system.parts
     assert mirror_symmetric(parts)
-    assert not mirror_symmetric(system_for(beam(), interval(0.1, 0.6), bc, n).parts)
-    X = {sign: mirror_basis(parts, sign) for sign in (1.0, -1.0)}
-    Y = np.hstack([X[1.0][0], X[-1.0][0]])
-    assert Y.shape == (parts.mass.size, system.dimension // 2)
-    np.testing.assert_allclose(Y.T @ (parts.mass[:, None] * Y), np.eye(Y.shape[1]), atol=1e-13)
-    np.testing.assert_allclose(parts.border.T @ Y, 0.0, atol=1e-13)
-    for sign, (basis, cols) in X.items():
-        U = to_reduced(parts, basis)
-        for f, parity in (("phi", 1.0), ("psi", -1.0), ("omega", -1.0)):
-            v = np.column_stack([system.field_values(np.concatenate([u, 0 * u]), f) for u in U.T])
-            np.testing.assert_allclose(v[::-1], sign * parity * v, atol=1e-12)
-        for f, rows in parts.node_slices.items():  # each field's columns live on its nodes
-            assert not np.delete(basis[:, cols[f]], rows, axis=0).any()
+    for signs in ((1.0, -1.0), (None,)):
+        X = {sign: mirror_basis(parts, sign) for sign in signs}
+        Y = np.hstack([basis for basis, _ in X.values()])
+        assert Y.shape == (parts.mass.size, system.dimension // 2)
+        np.testing.assert_allclose(Y.T @ (parts.mass[:, None] * Y), np.eye(Y.shape[1]),
+                                   atol=1e-13)
+        np.testing.assert_allclose(parts.border.T @ Y, 0.0, atol=1e-13)
+        for sign, (basis, cols) in X.items():
+            for f, rows in parts.node_slices.items():  # each field's columns live on its nodes
+                assert not np.delete(basis[:, cols[f]], rows, axis=0).any()
+            if sign is None:
+                continue
+            U = to_reduced(parts, basis)
+            for f, parity in (("phi", 1.0), ("psi", -1.0), ("omega", -1.0)):
+                v = np.column_stack([system.field_values(np.concatenate([u, 0 * u]), f)
+                                     for u in U.T])
+                np.testing.assert_allclose(v[::-1], sign * parity * v, atol=1e-12)
+    asymmetric = assemble(beam(), interval(0.1, 0.6), bc, n)
+    assert not mirror_symmetric(asymmetric.parts)
+    spectral.eigenvalues(asymmetric)
+    assert asymmetric.spectrum_blocks == [asymmetric.dimension // 2]
+    assert "reduced_block" not in asymmetric.__dict__
 
 
 def test_clamped_dimension_count():
