@@ -199,12 +199,6 @@ def load_config(path: str) -> RunConfig:
     return parse_config(_read_json(path, "config"))
 
 
-def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     base: dict

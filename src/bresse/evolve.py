@@ -9,8 +9,10 @@ respected exactly: the discrete energy satisfies
 to rounding, where D is the damping quadrature, so undamped runs conserve
 energy and damped runs dissipate it monotonically at machine precision.
 
-``simulate`` converts its initial state once to node coordinates and runs
-the whole loop there: each step is one sparse product for the right-hand
+Initial data are a seed: ``make_initial`` draws a smooth state from the
+lowest undamped modes (``undamped_modes``).  ``simulate`` takes any real
+reduced state, converts it once to node coordinates and runs the whole
+loop there: each step is one sparse product for the right-hand
 side, one banded Cholesky solve with the energy pencil at sigma = 2/dt and
 the update of x = [q; p], written into the next row of a block of BLOCK
 states.  Once per block, one product of the block with each of the energy
@@ -28,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
-from .config import auto_dt
 from .discretize import (DiscreteSystem, check_dense_cap, half_dimension, lanczos_top,
                          pencil_solver, to_nodes, to_reduced)
 from .model import BoundaryCondition
@@ -51,29 +52,8 @@ MODE_RTOL = 1e-13  # mode Lanczos residual over the largest Ritz value
 BLOCK = 64  # states stepped between two energy checks
 
 
-@dataclass(frozen=True)
-class Modal:
-    """k-th undamped mode (1-based, ordered by frequency), energy-normalized."""
-    index: int = 1
-
-
-@dataclass(frozen=True)
-class RandomSmooth:
-    """Seeded random combination of the lowest SMOOTH_FRACTION of the
-    undamped modes, energy-normalized; the low cutoff keeps the data resolved."""
-    seed: int = 0
-
-
-InitialData = Modal | RandomSmooth
-
-
-def default_dt(system: DiscreteSystem) -> float:
-    """h / (2 c_max): about four steps per fastest cell-crossing time."""
-    return auto_dt(system.params, system.grid.n)
-
-
 def smooth_mode_count(h: int) -> int:
-    """Modes in RandomSmooth data on a half size h: the lowest SMOOTH_FRACTION."""
+    """Modes in make_initial's data on a half size h: the lowest SMOOTH_FRACTION."""
     return max(1, math.ceil(SMOOTH_FRACTION * h))
 
 
@@ -87,8 +67,8 @@ def _mode_steps(k: int, h: int) -> int:
 
 
 def check_smooth_size(bc: BoundaryCondition, n: int) -> None:
-    """Refuse, from (bc, n) before assembly, RandomSmooth data whose Lanczos
-    basis exceeds the dense cap's element budget."""
+    """Refuse, from (bc, n) before assembly, a mesh on which make_initial's
+    Lanczos basis would exceed the dense cap's element budget."""
     h = half_dimension(bc, n)
     _mode_steps(smooth_mode_count(h), h)
 
@@ -129,32 +109,16 @@ def undamped_modes(system: DiscreteSystem, k: int):
     return freqs, X.T / freqs
 
 
-def make_initial(system: DiscreteSystem, spec: InitialData | np.ndarray) -> np.ndarray:
-    """The initial state of spec, energy-normalized.  An array is a reduced
-    state, used as is once checked to be real, of the state's shape, and to
-    carry energy.  A Modal index outside 1..d/2 is refused before any
-    factorization."""
-    if isinstance(spec, np.ndarray):
-        if spec.dtype.kind not in "iuf" or spec.shape != (system.dimension,):
-            raise ValueError(f"initial state must be a real array of shape "
-                             f"({system.dimension},), got {spec.dtype} {spec.shape}")
-        U = spec.astype(float)
-        if not system.energy(U) > 0.0:
-            raise ValueError("initial state carries no energy")
-        return U
-
+def make_initial(system: DiscreteSystem, seed: int) -> np.ndarray:
+    """Seeded smooth initial state, energy-normalized: a standard normal
+    combination, drawn by default_rng(seed), of the displacement and
+    velocity parts of the lowest smooth_mode_count(d / 2) undamped modes;
+    the low cutoff keeps the data resolved."""
     h = system.dimension // 2
-    if isinstance(spec, Modal):
-        _, shapes = undamped_modes(system, spec.index)
-        U = np.concatenate([shapes[:, -1], np.zeros(h)])
-    elif isinstance(spec, RandomSmooth):
-        k = smooth_mode_count(h)
-        freqs, shapes = undamped_modes(system, k)
-        rng = np.random.default_rng(spec.seed)
-        coeff = rng.standard_normal((k, 2))
-        U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
-    else:
-        raise TypeError(f"unknown initial data {spec!r}")
+    k = smooth_mode_count(h)
+    freqs, shapes = undamped_modes(system, k)
+    coeff = np.random.default_rng(seed).standard_normal((k, 2))
+    U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
     return U / math.sqrt(system.energy(U))
 
 
@@ -220,11 +184,12 @@ class EnergyTimeSeries:
     max_balance_residual: float | None = field(default=None, compare=False)
 
 
-def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
-             T: float, dt: float | None = None, sample_stride: int = 1) -> EnergyTimeSeries:
-    """Run from make_initial(system, initial) to final time T, sampling
-    energy and dissipation every ``sample_stride`` steps (the final state is
-    always sampled).
+def simulate(system: DiscreteSystem, U0: np.ndarray, T: float, dt: float,
+             sample_stride: int = 1) -> EnergyTimeSeries:
+    """Run from the reduced state U0 to final time T in steps of dt,
+    sampling energy and dissipation every ``sample_stride`` steps (the final
+    state is always sampled).  U0 must be real, of the state's shape, and
+    carry energy; it is not normalized.
 
     The states are stepped into a block of BLOCK rows; once the block is
     full (or the run ends), one product of the block with each root gives
@@ -234,20 +199,24 @@ def simulate(system: DiscreteSystem, initial: InitialData | np.ndarray,
     E+ - E = -dt D(U_mid), which the scheme satisfies exactly, is reported
     relative to E(0).
     """
-    if not T > 0:
-        raise ValueError("final time must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("final time must be positive and finite")
     if sample_stride < 1:
         raise ValueError("sample stride must be >= 1")
-    if dt is None:
-        dt = default_dt(system)
     if not dt > 0:
         raise ValueError("dt must be positive")
-    U = make_initial(system, initial)
+    if not T / dt < math.inf:
+        raise ValueError("step count T / dt is not finite")
+    if U0.dtype.kind not in "iuf" or U0.shape != (system.dimension,):
+        raise ValueError(f"initial state must be a real array of shape "
+                         f"({system.dimension},), got {U0.dtype} {U0.shape}")
+    if not system.energy(U0) > 0.0:
+        raise ValueError("initial state carries no energy")
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
     parts = system.parts
     block = np.empty((BLOCK + 1, 2 * parts.mass.size))  # row 0: the state before the block
-    block[0] = system.node_state(U)
+    block[0] = system.node_state(U0)
     states = list(block)
     E, D, g = _block_energies(parts, block[:1])
     E0 = E[0]
@@ -295,9 +264,3 @@ def _block_energies(parts, states: np.ndarray):
     e *= e
     return 0.5 * (np.ones(e.shape[0]) @ e), np.ones(g.shape[0]) @ (g * g), g
 
-
-def energy_balance_residual(system: DiscreteSystem, U0: np.ndarray, dt: float,
-                            n_steps: int) -> float:
-    """Largest per-step midpoint balance defect over n_steps relative to E(0)."""
-    return simulate(system, U0, T=n_steps * dt, dt=dt,
-                    sample_stride=n_steps).max_balance_residual

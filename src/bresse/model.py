@@ -49,13 +49,6 @@ class DecayLaw(Enum):
         """Predicted growth exponent of the resolvent norm along i*R."""
         return _GROWTH_ORDER[self]
 
-    @property
-    def energy_exponent(self) -> float | None:
-        """Exponent p in E(t) <= C/t^p, or None for the exponential law."""
-        if self is DecayLaw.EXPONENTIAL:
-            return None
-        return 2.0 / self.resolvent_growth_order
-
 
 _GROWTH_ORDER = {
     DecayLaw.EXPONENTIAL: 0.0,
@@ -211,7 +204,3 @@ def damping_values(profile: DampingProfile, x, length: float) -> np.ndarray:
     up = (x - profile.alpha) / profile.ramp
     down = (profile.beta - x) / profile.ramp
     return profile.a0 * np.clip(np.minimum(up, down), 0.0, 1.0)
-
-
-def damping_at(profile: DampingProfile, x: float, length: float) -> float:
-    return float(damping_values(profile, np.asarray([x]), length)[0])

@@ -17,7 +17,7 @@ import scipy.sparse
 from . import parallel, spectral
 from .config import RunConfig, SweepSpec, config_id, expand_sweep, to_dict
 from .discretize import assemble, check_dense_cap, half_dimension
-from .evolve import RandomSmooth, check_smooth_size, make_initial, simulate
+from .evolve import check_smooth_size, make_initial, simulate
 from .fitting import (FitWindowError, bt_map, classify_decay, fit_exponential,
                       fit_polynomial)
 from .model import classify_regime, predicted_decay
@@ -92,7 +92,7 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     if dump_operators:
         _dump_operators(system, out)
 
-    U0 = make_initial(system, RandomSmooth(seed=cfg.seed))
+    U0 = make_initial(system, cfg.seed)
     stride = max(1, math.ceil((cfg.T / cfg.dt) / MAX_ENERGY_ROWS))
     series = simulate(system, U0, T=cfg.T, dt=cfg.dt, sample_stride=stride)
 
@@ -143,11 +143,15 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     if dump_operators:
         _dump_operators(system, out)
 
+    undamped = cfg.profile.a0 == 0.0
+    if not undamped:  # an empty window is refused before the dense spectrum
+        lg = cfg.lambda_grid
+        grid = spectral.default_axis_grid(system, lam_min=lg.min, lam_max=lg.max,
+                                          count=lg.count)
     eigs = spectral.eigenvalues(system)
     abscissa = spectral.spectral_abscissa(system)
     regime = classify_regime(cfg.params)
     law = predicted_decay(regime)
-    undamped = cfg.profile.a0 == 0.0
 
     summary = {
         "config_id": cid,
@@ -173,9 +177,7 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
         # the axis meets the spectrum; a scan would only hit resonances
         summary["notes"].append("axis scan skipped for the conservative system")
     else:
-        lg = cfg.lambda_grid
-        grid = spectral.default_axis_grid(system, lam_min=lg.min, lam_max=lg.max,
-                                          count=lg.count, eigs=eigs)
+        grid = spectral.insert_peaks(system, grid, eigs)
         skipped = spectral.on_axis(system, eigs) & (eigs.imag >= grid[0]) & (eigs.imag <= grid[-1])
         if skipped.any():
             summary["notes"].append(f"peak insertion skipped {skipped.sum()} eigenvalue(s) "

@@ -165,12 +165,6 @@ def _axis_resolvent(system):
     return norm
 
 
-def resolvent_norm(system, lam: float) -> float:
-    """Energy-weighted resolvent norm at i*lam > 0 by the banded route;
-    raises ResonantFrequencyError when i*lam is on the spectrum."""
-    return float(scan_axis(system, [lam]).norms[0])
-
-
 @dataclass
 class AxisScan:
     lambdas: np.ndarray
@@ -214,26 +208,31 @@ def scan_cap(system) -> float:
 
 
 def default_axis_grid(system, lam_min: float = 1.0, lam_max: float | None = None,
-                      count: int = 48, eigs: np.ndarray | None = None) -> np.ndarray:
-    """Log-spaced backbone, optionally augmented with resonance peaks.
-
-    A plain log grid steps over the O(1/|Re|) wide peaks that carry the
-    sup-axis growth, so when the spectrum is available the least-damped
-    eigenfrequency of every log bin is inserted into the grid.  Eigenvalues
-    that ``on_axis`` flags are skipped: the scan would refuse them.
-    """
+                      count: int = 48) -> np.ndarray:
+    """Log-spaced backbone of count frequencies from lam_min to lam_max
+    (capped at scan_cap), both ends exact; it needs no spectrum, so an
+    empty window is refused before one is computed."""
     cap = scan_cap(system)
     lam_max = cap if lam_max is None else min(float(lam_max), cap)
     if not 0 < lam_min < lam_max:
         raise ValueError(f"need 0 < lam_min < lam_max, got [{lam_min}, {lam_max}]")
-    grid = np.geomspace(lam_min, lam_max, count)
-    if eigs is not None:
-        keep = (eigs.imag >= lam_min) & (eigs.imag <= lam_max) & ~on_axis(system, eigs)
-        freqs, damp = eigs.imag[keep], np.abs(eigs.real[keep])
-        bins = np.floor(np.log10(freqs / lam_min) * BINS_PER_DECADE).astype(int)
-        peaks = [freqs[bins == b][np.argmin(damp[bins == b])] for b in np.unique(bins)]
-        grid = np.unique(np.concatenate([grid, peaks]))
-    return grid
+    return np.geomspace(lam_min, lam_max, count)
+
+
+def insert_peaks(system, grid: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """The grid with resonance peaks inserted, sorted.
+
+    A plain log grid steps over the O(1/|Re|) wide peaks that carry the
+    sup-axis growth, so the least-damped eigenfrequency of every log bin
+    between the grid's ends is inserted.  Eigenvalues that ``on_axis``
+    flags are skipped: the scan would refuse them.
+    """
+    lam_min, lam_max = grid[0], grid[-1]
+    keep = (eigs.imag >= lam_min) & (eigs.imag <= lam_max) & ~on_axis(system, eigs)
+    freqs, damp = eigs.imag[keep], np.abs(eigs.real[keep])
+    bins = np.floor(np.log10(freqs / lam_min) * BINS_PER_DECADE).astype(int)
+    peaks = [freqs[bins == b][np.argmin(damp[bins == b])] for b in np.unique(bins)]
+    return np.unique(np.concatenate([grid, peaks]))
 
 
 @dataclass

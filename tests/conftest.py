@@ -18,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from bresse.discretize import assemble
-from bresse.evolve import simulate
+from bresse.evolve import simulate, undamped_modes
 from bresse.model import BeamParameters, BoundaryCondition, DampingProfile
 from bresse import spectral
 
@@ -49,6 +49,14 @@ def zeroed_step_parts(system):
     return singular
 
 
+def mode_state(system, index):
+    """The displacement state of undamped mode index (1-based, by
+    frequency), energy-normalized."""
+    shapes = undamped_modes(system, index)[1]
+    U = np.concatenate([shapes[:, -1], np.zeros(shapes.shape[0])])
+    return U / np.sqrt(system.energy(U))
+
+
 def endpoint_balance_defect(system, U0, dt, n_steps):
     """Largest per-step defect of (E+ - E)/dt = -(D + D+)/2 over n_steps,
     relative to E(0), from a stride-1 series; it is (dt^2/4) D(A U_mid),
@@ -74,7 +82,8 @@ def scan_for(params, profile, bc, n):
     key = (params, profile, bc, n)
     if key not in _SCANS:
         system = system_for(params, profile, bc, n)
-        grid = spectral.default_axis_grid(system, eigs=spectral.eigenvalues(system))
+        grid = spectral.insert_peaks(system, spectral.default_axis_grid(system),
+                                     spectral.eigenvalues(system))
         _SCANS[key] = spectral.scan_axis(system, grid)
     return _SCANS[key]
 

@@ -21,15 +21,9 @@ import pytest
 import scipy.linalg
 
 from bresse import cli, spectral
-from bresse.config import load_sweep
+from bresse.config import auto_dt, load_sweep
 from bresse.discretize import assemble
-from bresse.evolve import (
-    MidpointStepper,
-    RandomSmooth,
-    energy_balance_residual,
-    make_initial,
-    simulate,
-)
+from bresse.evolve import MidpointStepper, make_initial, simulate
 from bresse.fitting import bt_map, fit_exponential, fit_polynomial
 from bresse.model import (
     BeamParameters,
@@ -106,8 +100,9 @@ def test_criterion_2_energy_balance_residual():
     """Per-step balance: exact in the midpoint-state form, second order in
     the endpoint-average form (residual ratio 4 when dt halves)."""
     system = system_for(beam(), interval(), DNN, 30)
-    U0 = make_initial(system, RandomSmooth(seed=3))
-    residual = energy_balance_residual(system, U0, 1e-3, 200)
+    U0 = make_initial(system, 3)
+    residual = simulate(system, U0, T=200 * 1e-3, dt=1e-3,
+                        sample_stride=200).max_balance_residual
     coarse = endpoint_balance_defect(system, U0, 2e-3, 100)
     fine = endpoint_balance_defect(system, U0, 1e-3, 200)
     ratio = coarse / fine
@@ -122,7 +117,7 @@ def test_criterion_2_energy_balance_residual():
 def test_criterion_3_undamped_conservation():
     system = system_for(beam(), interval(a0=0.0), DNN, 50)
     dt = system.grid.h / 2.0  # the default rule at unit speeds
-    series = simulate(system, RandomSmooth(seed=1), T=10_000 * dt, dt=dt,
+    series = simulate(system, make_initial(system, 1), T=10_000 * dt, dt=dt,
                       sample_stride=1000)
     drift = abs(series.energy[-1] - series.energy[0]) / series.energy[0]
     record(3, "undamped conservation", drift <= 1e-10,
@@ -229,7 +224,8 @@ def test_criterion_6_resolvent_growth_brackets():
     exact = bt_map(2.0) == 1.0 and bt_map(4.0) == 0.5
 
     system = system_for(beam(b=2.0), interval(), DNN, 32)
-    series = simulate(system, RandomSmooth(seed=0), T=400.0, sample_stride=20)
+    series = simulate(system, make_initial(system, 0), T=400.0,
+                      dt=auto_dt(system.params, system.grid.n), sample_stride=20)
     poly = fit_polynomial(series)
 
     ok = all(brackets.values()) and exact
@@ -268,7 +264,7 @@ def test_criterion_7_oracle_equivalence():
         for lam in (0.7, 3.3, 9.0, 15.0):
             W = F @ (1j * lam * eye - system.A) @ np.linalg.inv(F)
             oracle = 1.0 / np.linalg.svd(W, compute_uv=False).min()
-            got = spectral.resolvent_norm(system, lam)
+            got = spectral.scan_axis(system, [lam]).norms[0]
             worst_res = max(worst_res, abs(got - oracle) / oracle)
     res_ok = worst_res <= 1e-12
 

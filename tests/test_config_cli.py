@@ -21,7 +21,6 @@ from bresse.config import (
     load_config,
     load_sweep,
     parse_config,
-    save_config,
     to_dict,
 )
 from bresse.discretize import assemble
@@ -86,7 +85,7 @@ def test_parse_defaults_and_roundtrip():
 def test_save_load_roundtrip(tmp_path):
     cfg = parse_config(base_raw())
     path = tmp_path / "cfg.json"
-    save_config(cfg, str(path))
+    path.write_text(json.dumps(to_dict(cfg)))
     assert load_config(str(path)) == cfg
 
 
@@ -280,6 +279,24 @@ def test_cli_spectrum_undamped_flag(tmp_path, capsys):
     assert not os.path.exists(os.path.join(raw["outputs"], "resolvent.csv"))
 
 
+def test_cli_spectrum_empty_window_refused_before_the_spectrum(tmp_path, capsys,
+                                                                monkeypatch):
+    """A damped config whose frequency window starts above the resolved band
+    exits 2 before the dense spectrum is computed; an undamped one skips the
+    scan and runs."""
+    path, raw = write_cfg(tmp_path, profile={"a0": 0.0}, lambda_grid={"min": 100.0})
+    assert cli.main(["spectrum", path]) == 0
+    capsys.readouterr()
+
+    def no_spectrum(system):
+        raise AssertionError("the spectrum was computed for an empty window")
+
+    monkeypatch.setattr(spectral, "eigenvalues", no_spectrum)
+    path, _ = write_cfg(tmp_path, lambda_grid={"min": 100.0})
+    assert cli.main(["spectrum", path]) == 2
+    assert "need 0 < lam_min < lam_max" in capsys.readouterr().err
+
+
 def no_assembly(*args, **kwargs):
     raise AssertionError("a size above the dense cap was assembled")
 
@@ -301,7 +318,7 @@ def test_cli_dump_operators_refused_above_dense_cap(tmp_path, capsys, monkeypatc
     assert not os.path.exists(raw["outputs"])  # no .mtx file, nor any other
 
 
-# DNN n = 30: half size 89; RandomSmooth wants its 9 lowest modes, whose
+# DNN n = 30: half size 89; make_initial wants its 9 lowest modes, whose
 # Lanczos basis holds min(89, 4 * 9 + 20) = 56 vectors of 89 entries (4,984)
 
 

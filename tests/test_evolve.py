@@ -14,22 +14,19 @@ from bresse.evolve import (
     BLOCK,
     EnergyMonotonicityError,
     MidpointStepper,
-    Modal,
     NumericalBlowupError,
-    RandomSmooth,
     SingularStepError,
-    default_dt,
-    energy_balance_residual,
     make_initial,
     simulate,
     smooth_mode_count,
     undamped_modes,
 )
 from bresse import discretize
+from bresse.config import auto_dt
 from bresse.discretize import assemble
 
-from conftest import (DDD, DNN, beam, endpoint_balance_defect, interval, system_for,
-                      zeroed_step_parts)
+from conftest import (DDD, DNN, beam, endpoint_balance_defect, interval, mode_state,
+                      system_for, zeroed_step_parts)
 
 
 def _anti_damped(a0):
@@ -150,7 +147,7 @@ def test_simulate_matches_dense_cayley_trajectory(bc):
     U^T M U / 2 and v^T C v in the reduced coordinates."""
     system = assemble(beam(rho1=0.8, kappa0=1.3, l=0.7), interval(a0=2.0), bc, 12)
     dt, steps = 0.02, 200
-    U = make_initial(system, RandomSmooth(seed=6))
+    U = make_initial(system, 6)
     series = simulate(system, U, T=steps * dt, dt=dt)
     energy, dissipation = [], []
     for _ in range(steps + 1):
@@ -197,7 +194,7 @@ def test_singular_step_matrix_raises(bc):
 
 def test_undamped_energy_conserved():
     system = system_for(beam(), interval(a0=0.0), DNN, 20)
-    series = simulate(system, RandomSmooth(seed=2), T=5.0, dt=0.01)
+    series = simulate(system, make_initial(system, 2), T=5.0, dt=0.01)
     drift = np.abs(series.energy - series.energy[0]).max()
     assert drift <= 1e-11 * series.energy[0]
 
@@ -208,7 +205,7 @@ def test_undamped_long_run_has_no_energy_rise():
     for the mean-zero constraint does not."""
     system = system_for(beam(), interval(a0=0.0), DNN, 100)
     dt = system.grid.h / 2.0
-    series = simulate(system, RandomSmooth(seed=42), T=2000 * dt, dt=dt)
+    series = simulate(system, make_initial(system, 42), T=2000 * dt, dt=dt)
     E0 = series.energy[0]
     assert series.times.size == 2001
     assert np.diff(series.energy).max() <= 1e-12 * E0
@@ -218,14 +215,14 @@ def test_undamped_long_run_has_no_energy_rise():
 def test_time_reversal_returns_initial_state():
     for a0 in (0.0, 1.0):
         system = system_for(beam(), interval(a0=a0), DNN, 16)
-        U = make_initial(system, RandomSmooth(seed=5))
+        U = make_initial(system, 5)
         back = MidpointStepper(system, -0.02).step(MidpointStepper(system, 0.02).step(U))
         assert np.linalg.norm(back - U) <= 1e-11 * np.linalg.norm(U)
 
 
 def test_damped_energy_monotone():
     system = system_for(beam(), interval(), DDD, 16)
-    series = simulate(system, RandomSmooth(seed=3), T=4.0, dt=0.02)
+    series = simulate(system, make_initial(system, 3), T=4.0, dt=0.02)
     rises = np.diff(series.energy)
     assert rises.max() <= 1e-12 * series.energy[0]
     assert series.energy[-1] < series.energy[0]
@@ -234,7 +231,7 @@ def test_damped_energy_monotone():
 def test_energy_rise_guard_triggers():
     system = _anti_damped(1.0)
     with pytest.raises(EnergyMonotonicityError, match="rose"):
-        simulate(system, make_initial(system, Modal(1)), T=1.0, dt=0.1)
+        simulate(system, mode_state(system, 1), T=1.0, dt=0.1)
 
 
 def test_blowup_guard_triggers():
@@ -254,7 +251,7 @@ def test_simulate_block_edges_match_per_step_reference(bc, n_steps, sample_strid
     defect, to 1e-12 E(0)."""
     system = system_for(beam(kappa0=1.3), interval(a0=2.0), bc, 8)
     dt = 0.02
-    U = make_initial(system, RandomSmooth(seed=8))
+    U = make_initial(system, 8)
     series = simulate(system, U, T=n_steps * dt, dt=dt, sample_stride=sample_stride)
     E, D, defect, fault = _stepwise(system, U, dt, n_steps, MidpointStepper(system, dt))
     assert fault is None
@@ -271,7 +268,7 @@ def test_rise_guard_names_first_step_inside_a_block():
     the second block: simulate names the same step as the per-step check."""
     system = assemble(beam(), interval(a0=1e-8), DNN, 8)
     system.parts = dataclasses.replace(system.parts, damping=-system.parts.damping)
-    dt, U = 0.005, make_initial(system, Modal(1))
+    dt, U = 0.005, mode_state(system, 1)
     fault = _stepwise(system, U, dt, 3 * BLOCK, MidpointStepper(system, dt))[3]
     assert fault > BLOCK and fault % BLOCK > 1
     with pytest.raises(EnergyMonotonicityError, match=f"rose by .* at step {fault} "):
@@ -285,7 +282,7 @@ def test_blowup_guard_names_first_step_inside_a_block(bc, monkeypatch):
     end of the block, through infinities and NaNs, print no floating-point
     warning."""
     system = system_for(beam(), interval(), bc, 8)
-    dt, U = 0.02, make_initial(system, RandomSmooth(seed=2))
+    dt, U = 0.02, make_initial(system, 2)
     fault = _stepwise(system, U, dt, 3 * BLOCK, _Overflowing(system, dt))[3]
     assert fault == _Overflowing.AT
     monkeypatch.setattr(evolve, "MidpointStepper", _Overflowing)
@@ -297,20 +294,21 @@ def test_blowup_guard_names_first_step_inside_a_block(bc, monkeypatch):
 
 def test_simulate_argument_validation():
     system = system_for(beam(), interval(), DDD, 8)
-    U = make_initial(system, Modal(1))
-    with pytest.raises(ValueError):
-        simulate(system, U, T=0.0)
+    U = mode_state(system, 1)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="final time must be positive and finite"):
+            simulate(system, U, T=T, dt=0.1)
     with pytest.raises(ValueError):
         simulate(system, U, T=1.0, dt=-0.1)
+    with pytest.raises(ValueError, match="T / dt is not finite"):
+        simulate(system, U, T=1.0, dt=1e-320)
     with pytest.raises(ValueError):
-        simulate(system, U, T=1.0, sample_stride=0)
-    with pytest.raises(ValueError):
-        simulate(system, np.zeros(system.dimension), T=1.0)
+        simulate(system, U, T=1.0, dt=0.1, sample_stride=0)
 
 
 def test_sampling_stride_and_final_sample():
     system = system_for(beam(), interval(), DDD, 8)
-    series = simulate(system, Modal(1), T=1.0, dt=0.01, sample_stride=7)
+    series = simulate(system, mode_state(system, 1), T=1.0, dt=0.01, sample_stride=7)
     assert series.times[0] == 0.0
     assert series.times[-1] == pytest.approx(1.0, rel=1e-12)
     assert np.all(np.diff(series.times) > 0)
@@ -321,7 +319,7 @@ def test_default_dt_rule():
     system = system_for(beam(kappa0=4.0), interval(), DDD, 10)
     c = system.params.max_wave_speed
     assert c == 2.0
-    assert default_dt(system) == system.grid.h / (2.0 * c)
+    assert auto_dt(system.params, system.grid.n) == system.grid.h / (2.0 * c)
 
 
 def dense_modes(system, k):
@@ -341,7 +339,7 @@ def dense_modes(system, k):
 @pytest.mark.parametrize("n", [6, 10, 16, 32])
 @pytest.mark.parametrize("bc", [DNN, DDD])
 def test_undamped_modes_match_dense_oracle(bc, n, params):
-    """The Lanczos modes behind RandomSmooth (the lowest tenth) agree with the
+    """The Lanczos modes behind make_initial (the lowest tenth) agree with the
     dense generalized eigensolve: frequencies to 1e-12 relative, the signed
     shapes to 1e-10 of their largest entry.  The closest relative gap among
     these modes is 3.5e-4 (DDD, n = 32, equal speeds)."""
@@ -356,7 +354,7 @@ def test_undamped_modes_match_dense_oracle(bc, n, params):
 
 @pytest.mark.parametrize("bc", [DNN, DDD])
 def test_random_smooth_matches_dense_modes(bc):
-    """make_initial's RandomSmooth state is the one the dense modes give with
+    """make_initial's seeded state is the one the dense modes give with
     the same sign rule and the same seeded coefficients."""
     system = system_for(beam(kappa0=2.0), interval(), bc, 24)
     h = system.dimension // 2
@@ -365,13 +363,13 @@ def test_random_smooth_matches_dense_modes(bc):
     coeff = np.random.default_rng(4).standard_normal((k, 2))
     U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
     U /= np.sqrt(system.energy(U))
-    np.testing.assert_allclose(make_initial(system, RandomSmooth(seed=4)), U,
+    np.testing.assert_allclose(make_initial(system, 4), U,
                                rtol=0, atol=1e-10 * np.abs(U).max())
 
 
 def test_modal_initial_data(monkeypatch):
     system = system_for(beam(), interval(a0=0.0), DNN, 12)
-    U = make_initial(system, Modal(1))
+    U = mode_state(system, 1)
     assert system.energy(U) == pytest.approx(1.0, rel=1e-12)
     # a single undamped mode keeps its energy exactly
     series = simulate(system, U, T=2.0, dt=0.01)
@@ -381,7 +379,7 @@ def test_modal_initial_data(monkeypatch):
     assert np.all(np.diff(freqs) >= 0)
     # the last mode is reachable; an index outside 1..h is refused before
     # anything is factored
-    last = make_initial(system, Modal(h))
+    last = mode_state(system, h)
     assert system.energy(last) == pytest.approx(1.0, rel=1e-12)
 
     def no_factor(*args, **kwargs):
@@ -390,14 +388,14 @@ def test_modal_initial_data(monkeypatch):
     monkeypatch.setattr(evolve, "pencil_solver", no_factor)
     for index in (0, h + 1, 10 ** 6):
         with pytest.raises(ValueError, match=f"mode index {index} outside 1..{h}"):
-            make_initial(system, Modal(index))
+            undamped_modes(system, index)
 
 
 def test_random_smooth_determinism_and_normalization():
     system = system_for(beam(), interval(), DNN, 12)
-    U1 = make_initial(system, RandomSmooth(seed=9))
-    U2 = make_initial(system, RandomSmooth(seed=9))
-    U3 = make_initial(system, RandomSmooth(seed=10))
+    U1 = make_initial(system, 9)
+    U2 = make_initial(system, 9)
+    U3 = make_initial(system, 10)
     np.testing.assert_array_equal(U1, U2)
     assert not np.array_equal(U1, U3)
     assert system.energy(U1) == pytest.approx(1.0, rel=1e-12)
@@ -405,47 +403,49 @@ def test_random_smooth_determinism_and_normalization():
 
 def test_random_smooth_respects_mean_zero_constraint():
     system = system_for(beam(), interval(), DNN, 16)
-    U = make_initial(system, RandomSmooth(seed=5))
+    U = make_initial(system, 5)
     mu = system.grid.trapezoid_weights()
     for name in ("psi", "omega", "v", "z"):
         assert abs(mu @ system.field_values(U, name)) <= 1e-13
 
 
 def test_custom_initial_data_used_as_is():
+    """simulate starts from the state it is given, not normalized; an
+    integer array runs as its float copy."""
     system = system_for(beam(), interval(), DDD, 8)
-    vec = np.arange(1.0, system.dimension + 1.0)
-    U = make_initial(system, vec)
-    np.testing.assert_array_equal(U, vec)
+    vec = np.arange(1, system.dimension + 1)
+    series = simulate(system, vec, T=0.1, dt=0.01)
+    assert series.energy[0] == pytest.approx(system.energy(vec.astype(float)), rel=1e-14)
+    same = simulate(system, vec.astype(float), T=0.1, dt=0.01)
+    np.testing.assert_array_equal(series.energy, same.energy)
 
 
 @pytest.mark.parametrize("bc", [DNN, DDD])
 def test_initial_array_must_be_real_of_the_state_shape(bc):
-    """An array initial state is refused, naming the real shape it needs,
+    """simulate refuses an initial state, naming the real shape it needs,
     when it is complex (its imaginary part would be dropped) or of another
-    length; simulate takes arrays through the same check."""
+    length, and one that carries no energy."""
     system = system_for(beam(), interval(), bc, 8)
     d = system.dimension
-    U = make_initial(system, RandomSmooth(seed=1))
+    U = make_initial(system, 1)
     shape = re.escape(f"real array of shape ({d},)")
     for bad in (U + 1j * U, U[:-1], np.append(U, 0.0), U[:, None]):
         with pytest.raises(ValueError, match=shape):
-            make_initial(system, bad)
-        with pytest.raises(ValueError, match=shape):
             simulate(system, bad, T=0.1, dt=0.01)
     with pytest.raises(ValueError, match="no energy"):
-        make_initial(system, np.zeros(d))
+        simulate(system, np.zeros(d), T=0.1, dt=0.01)
 
 
 def test_midpoint_balance_identity_is_exact():
     system = system_for(beam(), interval(), DNN, 12)
-    U0 = make_initial(system, RandomSmooth(seed=3))
-    res = energy_balance_residual(system, U0, 1e-3, 200)
+    U0 = make_initial(system, 3)
+    res = simulate(system, U0, T=200 * 1e-3, dt=1e-3, sample_stride=200).max_balance_residual
     assert res <= 1e-12
 
 
 def test_rate_balance_residual_second_order():
     system = system_for(beam(), interval(), DNN, 12)
-    U0 = make_initial(system, RandomSmooth(seed=3))
+    U0 = make_initial(system, 3)
     coarse = endpoint_balance_defect(system, U0, 2e-3, 100)
     fine = endpoint_balance_defect(system, U0, 1e-3, 200)
     assert 3.5 <= coarse / fine <= 4.5
@@ -453,6 +453,6 @@ def test_rate_balance_residual_second_order():
 
 def test_simulate_collects_balance_residual():
     system = system_for(beam(), interval(), DNN, 12)
-    series = simulate(system, RandomSmooth(seed=4), T=0.5, dt=1e-3)
+    series = simulate(system, make_initial(system, 4), T=0.5, dt=1e-3)
     assert series.max_balance_residual is not None
     assert series.max_balance_residual <= 1e-12

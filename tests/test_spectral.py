@@ -23,7 +23,7 @@ from bresse.spectral import (
     eigenvalues,
     fit_growth_exponent,
     growth_ratio,
-    resolvent_norm,
+    insert_peaks,
     scan_axis,
     scan_cap,
     spectral_abscissa,
@@ -126,7 +126,7 @@ def check_near_resonant_norm(bc):
     sv = oracle_singular_values(system, lam)
     assert sv[-1] <= 1e-6 * sv[0]  # genuinely near the spectrum
     tol = 1e-8 * sv[-1] + 16 * np.finfo(float).eps * sv[0]
-    assert abs(1.0 / resolvent_norm(system, lam) - sv[-1]) <= tol
+    assert abs(1.0 / scan_axis(system, [lam]).norms[0] - sv[-1]) <= tol
 
 
 def test_near_resonant_norm_matches_svd_oracle(no_svd_fallback):
@@ -194,11 +194,25 @@ def test_scan_cap_formula():
 
 
 def test_resolvent_matches_independent_oracle():
+    """The banded norm against the dense SVD oracle to 1e-12: at three
+    frequencies inside the band on both families, and in the far field
+    (3 and 10 times the largest eigenfrequency) on DDD at n = 10 and 40,
+    for the unit beam and kappa0 = 2, where it reads at most 1.2e-15.  DNN
+    stays out of the far field: at 10 times the top, on the unit beam, it
+    reads 6.6e-7 at n = 10 and 2.1e-4 at n = 40, for a cause not yet found
+    (ROADMAP item 3)."""
     for bc in (DNN, DDD):
         system = system_for(beam(), interval(), bc, 10)
         for lam in (0.7, 3.3, 17.0):
             expected = oracle_resolvent_norm(system, lam)
-            assert resolvent_norm(system, lam) == pytest.approx(expected, rel=1e-12)
+            assert scan_axis(system, [lam]).norms[0] == pytest.approx(expected, rel=1e-12)
+    for params in (beam(), beam(kappa0=2.0)):
+        for n in (10, 40):
+            system = system_for(params, interval(), DDD, n)
+            top = np.abs(eigenvalues(system).imag).max()
+            for lam in (3.0 * top, 10.0 * top):
+                expected = oracle_resolvent_norm(system, lam)
+                assert scan_axis(system, [lam]).norms[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_iterative_norm_needs_no_svd_fallback(no_svd_fallback):
@@ -207,9 +221,8 @@ def test_iterative_norm_needs_no_svd_fallback(no_svd_fallback):
     for bc in (DNN, DDD):
         system = system_for(beam(), interval(), bc, 12)
         grid = np.geomspace(0.5, scan_cap(system), 16)
-        got = [resolvent_norm(system, lam) for lam in grid]
         want = [oracle_resolvent_norm(system, lam) for lam in grid]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scan_axis(system, grid).norms, want, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bc", [DNN, DDD])
@@ -234,7 +247,7 @@ def test_lanczos_stopped_early_raises(monkeypatch):
     system = system_for(beam(), interval(), DNN, 12)
     monkeypatch.setattr(spectral, "LANCZOS_MAXITER", 1)
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        resolvent_norm(system, 3.3)
+        scan_axis(system, [3.3])
 
 
 def test_resolvent_far_field_normal_dominance():
@@ -243,23 +256,23 @@ def test_resolvent_far_field_normal_dominance():
         system = system_for(beam(), interval(), bc, 10)
         top = np.abs(eigenvalues(system).imag).max()
         lam = 10.0 * top
-        r = resolvent_norm(system, lam)
+        r = scan_axis(system, [lam]).norms[0]
         assert 0.5 <= r * (lam - top) <= 2.0
 
 
 def test_resolvent_lower_bound_from_spectrum():
     system = system_for(beam(), interval(), DNN, 12)
     eig = eigenvalues(system)
-    for lam in np.geomspace(0.5, scan_cap(system), 12):
-        dist = np.abs(1j * lam - eig).min()
-        assert resolvent_norm(system, lam) * dist >= 1.0 / 1.01
+    grid = np.geomspace(0.5, scan_cap(system), 12)
+    dist = np.abs(1j * grid[:, None] - eig[None, :]).min(axis=1)
+    assert np.all(scan_axis(system, grid).norms * dist >= 1.0 / 1.01)
 
 
 def test_resonant_frequency_refused():
     system = system_for(beam(), interval(a0=0.0), DNN, 10)
     lam = float(np.abs(eigenvalues(system).imag).max())
     with pytest.raises(ResonantFrequencyError, match="eigenvalue"):
-        resolvent_norm(system, lam)
+        scan_axis(system, [lam])
 
 
 def test_dense_cap_enforced(monkeypatch):
@@ -283,7 +296,7 @@ def test_scan_axis_validation_and_single_point():
     single = scan_axis(system, np.array([3.0]))
     assert single.norms.shape == (1,)
     assert single.peak_lambda == 3.0
-    assert single.peak_norm == pytest.approx(resolvent_norm(system, 3.0), rel=1e-12)
+    assert single.peak_norm == pytest.approx(oracle_resolvent_norm(system, 3.0), rel=1e-12)
 
 
 def test_default_grid_capped_and_peak_augmented():
@@ -294,7 +307,7 @@ def test_default_grid_capped_and_peak_augmented():
     assert np.all(np.diff(grid) > 0)
     # a sharply resonant synthetic eigenvalue must be inserted into the grid
     fake = np.array([-1e-6 + 5.123j, -2.0 + 6.0j])
-    grid = default_axis_grid(system, count=16, eigs=fake)
+    grid = insert_peaks(system, grid, fake)
     assert np.any(np.isclose(grid, 5.123))
     with pytest.raises(ValueError):
         default_axis_grid(system, lam_min=cap * 2.0)
