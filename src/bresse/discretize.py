@@ -157,7 +157,7 @@ class NodeParts:
     states with border^T q = border^T p = 0.  The roots act on x = [q; p].
     """
 
-    embeddings: dict            # field -> stored nodes into all n+1 nodes
+    nodes: dict                 # field -> its stored nodes, indices into the n+1 grid nodes
     layout: np.ndarray          # node-order position of each stored value listed field by field
     strain: sp.csr_matrix       # S: node values -> per-cell strain samples
     cell_weights: np.ndarray    # W: quadrature weight of each strain sample
@@ -169,6 +169,7 @@ class NodeParts:
     reflector: tuple | None     # DNN: _reflector(grid) of the mean-zero basis; DDD: none
     energy_root: sp.csr_matrix  # e = [sqrt(W) S q; sqrt(mass) p], E = |e|^2 / 2
     damping_root: sp.csr_matrix  # g = sqrt(damping) p on its support, D = |g|^2
+    frequency_bound: float      # sqrt(max_i sum_j |K_ij| / mass_i), Gershgorin's bound
 
     @property
     def bandwidth(self) -> int:
@@ -177,72 +178,130 @@ class NodeParts:
     @property
     def node_slices(self) -> dict[str, np.ndarray]:
         """field -> half-state positions of its stored nodes, in node order."""
-        stops = np.cumsum([self.embeddings[f].shape[1] for f in FIELD_NAMES[:3]])
-        return {f: self.layout[stop - self.embeddings[f].shape[1]:stop]
+        stops = np.cumsum([self.nodes[f].size for f in FIELD_NAMES[:3]])
+        return {f: self.layout[stop - self.nodes[f].size:stop]
                 for f, stop in zip(FIELD_NAMES[:3], stops)}
+
+
+def _strain_stencil(h: float, l: float) -> tuple:
+    """The strain samples of one cell, row block by row block, as (field,
+    end, value) terms, end 0 the cell's left node and 1 its right node: shear
+    and stretch at the left node, the same at the right node, and bending,
+    weighted kappa h/2, kappa0 h/2, kappa h/2, kappa0 h/2 and b h."""
+    dl, dr = -1.0 / h, 1.0 / h
+    return (((0, 0, dl), (0, 1, dr), (1, 0, 1.0), (2, 0, l)),
+            ((0, 0, -l), (2, 0, dl), (2, 1, dr)),
+            ((0, 0, dl), (0, 1, dr), (1, 1, 1.0), (2, 1, l)),
+            ((0, 1, -l), (2, 0, dl), (2, 1, dr)),
+            ((1, 0, dl), (1, 1, dr)))
+
+
+def _indptr(rows: np.ndarray, size: int) -> np.ndarray:
+    """indptr of entries already sorted by row."""
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return indptr
 
 
 def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
                 a_nodes: np.ndarray) -> NodeParts:
     """Strain map, stiffness, mass, damping and energy roots on the nodes;
     the energy and the generator both derive from these, so the two stay
-    exactly compatible.  Built field by field, then put in node order once."""
+    exactly compatible.
+
+    Every sparse part is built once from (row, column, value) arrays.  K is
+    summed as S^T W S is by scipy's sparse product: entry (i, j) adds
+    S_kj (W_k S_ki) over the strain samples k in increasing order, and K is
+    then (K + K^T) / 2 without its exact zeros, so its bits do not depend
+    on how it was built."""
     n, h, l = grid.n, grid.h, params.l
     mu = grid.trapezoid_weights()
-    interior = dirichlet_embedding(n)
-    if bc is BoundaryCondition.DDD:
-        emb = {"phi": interior, "psi": interior, "omega": interior}
-    else:
-        full = sp.eye(n + 1, format="csr")
-        emb = {"phi": interior, "psi": full, "omega": full}
-    Ephi, Epsi, Eomega = emb["phi"], emb["psi"], emb["omega"]
-    D = difference_operator(grid)
-    NL, NR = endpoint_selectors(grid)
+    # clamped fields keep the interior nodes, zero-slope (DNN) ones all nodes
+    interior, full = np.arange(1, n), np.arange(n + 1)
+    stored = [interior] + [interior if bc is BoundaryCondition.DDD else full] * 2
+    # the field-by-field column of each field's node (-1: not stored)
+    offsets = np.cumsum([0] + [s.size for s in stored])
+    column = np.full((3, n + 1), -1)
+    for k, s in enumerate(stored):
+        column[k, s] = offsets[k] + np.arange(s.size)
+    size = int(offsets[-1])
+    perm = np.argsort(np.concatenate([3 * s + k for k, s in enumerate(stored)]))
+    layout = np.argsort(perm)  # node-order position of each field-by-field column
 
-    # per-cell trapezoid rows: each strain integrand sampled at the two cell
-    # endpoints, derivatives as the cell difference quotient
-    Dphi, Dpsi, Domega = D @ Ephi, D @ Epsi, D @ Eomega
-    blocks, cell_w = [], []
-    for N in (NL, NR):
-        blocks.append([Dphi, N @ Epsi, l * (N @ Eomega)])        # shear
-        blocks.append([-l * (N @ Ephi), None, Domega])            # stretch
-        cell_w += [np.full(n, 0.5 * params.kappa * h), np.full(n, 0.5 * params.kappa0 * h)]
-    blocks.append([None, Dpsi, None])                             # bending
-    cell_w.append(np.full(n, params.b * h))
-    S = sp.bmat(blocks, format="csr")
-    cell_w = np.concatenate(cell_w)
-    K = S.T @ sp.diags(cell_w) @ S
-    K = (0.5 * (K + K.T)).tocsc()
+    # S: one row per strain sample, its terms in field-by-field column order
+    cells = np.arange(n)
+    rows, cols, vals = [], [], []
+    for b, terms in enumerate(_strain_stencil(h, l)):
+        for f, end, value in terms:
+            c = column[f, cells + end]
+            keep = c >= 0
+            rows.append(b * n + cells[keep])
+            cols.append(c[keep])
+            vals.append(np.full(keep.sum(), value))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], layout[cols[order]], vals[order]
+    samples = 5 * n
+    cell_w = np.concatenate([np.full(n, 0.5 * params.kappa * h),
+                             np.full(n, 0.5 * params.kappa0 * h)] * 2 + [np.full(n, params.b * h)])
+    indptr = _indptr(rows, samples)
+    S = sp.csr_matrix((vals, cols.astype(np.int32), indptr), shape=(samples, size))
 
-    mu_at = {f: emb[f].T @ mu for f in emb}
-    mass = np.concatenate([params.rho1 * mu_at["phi"], params.rho2 * mu_at["psi"],
-                           params.rho1 * mu_at["omega"]])
-    zeros = {f: np.zeros(emb[f].shape[1]) for f in emb}
-    damping = np.concatenate([zeros["phi"], Epsi.T @ (mu * a_nodes), zeros["omega"]])
+    # K = S^T W S: the products of each sample's terms, pair by pair, summed
+    # per entry in sample order
+    slot = np.arange(rows.size) - indptr[rows]
+    width = int(slot.max(initial=0)) + 1
+    pc, pv = np.full((samples, width), -1), np.zeros((samples, width))
+    pc[rows, slot], pv[rows, slot] = cols, vals
+    pair = (pc[:, :, None] >= 0) & (pc[:, None, :] >= 0)
+    terms = (pv[:, None, :] * (cell_w[:, None] * pv)[:, :, None])[pair]
+    keys = (pc[:, :, None] * size + pc[:, None, :])[pair]
+    order = np.argsort(keys, kind="stable")  # stable: sample order within an entry
+    keys, terms = keys[order], terms[order]
+    starts = np.diff(keys, prepend=-1) != 0
+    first, group = np.flatnonzero(starts), np.cumsum(starts) - 1
+    padded = np.zeros((first.size, int(np.diff(np.append(first, keys.size)).max())))
+    padded[group, np.arange(keys.size) - first[group]] = terms
+    half = padded[:, 0].copy()  # added left to right as the product does; np.sum would pair terms
+    for c in range(1, padded.shape[1]):
+        half += padded[:, c]
+    keys = keys[first]
+    total = half + half[np.searchsorted(keys, keys % size * size + keys // size)]
+    keep = total != 0
+    ki, kj = np.divmod(keys[keep], size)
+    # symmetric, so these canonical CSC arrays are also K's canonical CSR arrays
+    K = sp.csc_matrix((0.5 * total[keep], kj.astype(np.int32), _indptr(ki, size)),
+                      shape=(size, size))
+    kl = int(np.abs(ki - kj).max(initial=0))
+    band = np.zeros((2 * kl + 1, size))
+    band[kl + ki - kj, kj] = K.data
+
+    mass = np.concatenate([params.rho1 * mu[stored[0]], params.rho2 * mu[stored[1]],
+                           params.rho1 * mu[stored[2]]])[perm]
+    damping = np.zeros(size)
+    damping[layout[offsets[1]:offsets[2]]] = (mu * a_nodes)[stored[1]]
     if bc is BoundaryCondition.DDD:
-        border, reflector = np.zeros((mass.size, 0)), None
+        border, reflector = np.zeros((size, 0)), None
     else:
-        border = np.column_stack([
-            np.concatenate([zeros["phi"], mu, zeros["omega"]]),
-            np.concatenate([zeros["phi"], zeros["psi"], mu])])
+        border = np.zeros((size, 2))
+        for k in (1, 2):
+            border[layout[offsets[k]:offsets[k + 1]], k - 1] = mu
         reflector = _reflector(grid)
+    bound = np.sqrt(np.max(np.asarray(abs(K).sum(axis=1)).ravel() / mass))
 
-    nodes = np.arange(n + 1)
-    perm = np.argsort(np.concatenate([3 * (emb[f].T @ nodes) + k
-                                      for k, f in enumerate(FIELD_NAMES[:3])]))
-    S, K = S[:, perm], K[perm][:, perm]
-    mass, damping, border = mass[perm], damping[perm], border[perm]
-    coo = K.tocoo()
-    kl = int(np.abs(coo.row - coo.col).max(initial=0))
-    band = np.zeros((2 * kl + 1, perm.size))
-    band[kl + coo.row - coo.col, coo.col] = coo.data
-
-    energy_root = sp.bmat([[sp.diags(np.sqrt(cell_w)) @ S, None],
-                           [None, sp.diags(np.sqrt(mass))]], format="csr")
-    shear = sp.diags(np.sqrt(damping), format="csr")[np.flatnonzero(damping)]
-    damping_root = sp.hstack([sp.csr_matrix(shear.shape), shear], format="csr")
-    return NodeParts(emb, np.argsort(perm), S, cell_w, K, band, mass, damping, border,
-                     reflector, energy_root, damping_root)
+    # e = [sqrt(W) S q; sqrt(mass) p] and g = sqrt(damping) p, entries by column
+    order = np.lexsort((cols, rows))
+    root_rows = np.concatenate([rows, samples + np.arange(size)])
+    energy_root = sp.csr_matrix(
+        (np.concatenate([np.sqrt(cell_w)[rows[order]] * vals[order], np.sqrt(mass)]),
+         np.concatenate([cols[order], size + np.arange(size)]).astype(np.int32),
+         _indptr(root_rows, samples + size)), shape=(samples + size, 2 * size))
+    support = np.flatnonzero(damping)
+    damping_root = sp.csr_matrix(
+        (np.sqrt(damping[support]), (size + support).astype(np.int32),
+         np.arange(support.size + 1, dtype=np.int32)), shape=(support.size, 2 * size))
+    return NodeParts(dict(zip(FIELD_NAMES[:3], stored)), layout, S, cell_w, K, band, mass,
+                     damping, border, reflector, energy_root, damping_root, bound)
 
 
 def to_nodes(parts: NodeParts, y: np.ndarray) -> np.ndarray:
@@ -294,15 +353,24 @@ def mirror_symmetric(parts: NodeParts) -> bool:
     """Whether J keeps the mass and commutes with the energy-weighted
     stiffness R^-1/2 K R^-1/2 and damping R^-1 C, each to MIRROR_RTOL of its
     largest entry.  Uniform coefficients make the stiffness and mass exactly
-    symmetric; the damping profile decides."""
+    symmetric; the damping profile decides.  The stiffness is compared in
+    band storage: J K J^T has entry sign_a sign_b K[image a, image b] at
+    (a, b), zero where that lies outside the band."""
     image, sign = mirror_image(parts)
-    mass = parts.mass
-    r = sp.diags(1.0 / np.sqrt(mass))
-    K = r @ parts.stiffness @ r
-    J = sp.csr_matrix((sign, (np.arange(image.size), image)), shape=(image.size,) * 2)
+    mass, kl = parts.mass, parts.bandwidth
+    r = 1.0 / np.sqrt(mass)
+    cols = np.arange(mass.size)
+    rows = cols + np.arange(-kl, kl + 1)[:, None]  # band[kl + a - b, b] = K[a, b]
+    valid = (rows >= 0) & (rows < mass.size)
+    rows = np.where(valid, rows, cols)
+    K = r[cols] * (r[rows] * parts.band)
+    diagonal = kl + image[rows] - image[cols]
+    inside = valid & (diagonal >= 0) & (diagonal <= 2 * kl)
+    mirrored = np.where(inside, sign[rows] * sign[cols] * K[np.clip(diagonal, 0, 2 * kl),
+                                                             image[cols]], 0.0)
     c = parts.damping / mass
     return (np.abs(mass[image] - mass).max() <= MIRROR_RTOL * mass.max()
-            and abs(J @ K @ J.T - K).max() <= MIRROR_RTOL * abs(K).max()
+            and np.abs(mirrored - K).max() <= MIRROR_RTOL * np.abs(K).max()
             and np.abs(c[image] - c).max() <= MIRROR_RTOL * np.abs(c).max())
 
 
@@ -365,19 +433,19 @@ def pencil_solver(parts: NodeParts, sigma: complex):
     if real:
         ab = parts.band[:kl + 1].copy()  # the upper band, diagonal in row kl
         ab[kl] += diagonal
-        pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
-        chol, info = pbtrf(ab, overwrite_ab=True)
+        pbtrs = scipy.linalg.lapack.dpbtrs
+        chol, info = scipy.linalg.lapack.dpbtrf(ab, overwrite_ab=True)
         if info:
             raise np.linalg.LinAlgError(f"pencil not positive definite (leading minor {info})")
 
         def banded(b, adjoint):  # Q is real symmetric: Q^H = Q
             return pbtrs(chol, b)[0]
     else:
-        ab = np.zeros((3 * kl + 1, parts.band.shape[1]), dtype=np.result_type(parts.band, sigma))
+        ab = np.zeros((3 * kl + 1, parts.band.shape[1]), dtype=complex)
         ab[kl:] = parts.band  # the top kl rows are room for the pivots
         ab[2 * kl] += diagonal
-        gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, piv, info = gbtrf(ab, kl, kl, overwrite_ab=True)
+        gbtrs = scipy.linalg.lapack.zgbtrs
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(ab, kl, kl, overwrite_ab=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"zero pivot {info}")
 
@@ -411,7 +479,8 @@ def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: floa
     positive in the product x^H gram(y), and their gram-normalized Ritz
     vectors as rows, by Lanczos from start with full reorthogonalization.
 
-    The basis holds up to maxiter vectors of start's size and dtype.
+    The basis holds vectors of start's size and dtype: 16 at first, twice
+    as many each time it is full, never more than maxiter.
     Convergence is tested with LAPACK stemr on the top k pairs of the
     tridiagonal matrix, first once the basis holds 2k - 1 vectors (or
     maxiter), then each time it has grown by an eighth, and whenever the new
@@ -419,22 +488,27 @@ def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: floa
     |apply(x) - theta x| must be at most rtol times the largest value.
     Iterates that overflow return infinite values and no vectors; no
     convergence in maxiter steps raises LinAlgError."""
-    V, GVc = np.empty((2, maxiter, start.size), dtype=start.dtype)  # GVc: conj(gram(V))
+    V, GVc = np.empty((2, min(16, maxiter), start.size), dtype=start.dtype)  # GVc: conj(gram(V))
     alpha, beta = np.empty(maxiter), np.empty(maxiter + 1)
-    stemr, = scipy.linalg.get_lapack_funcs(("stemr",), (alpha,))
     w, Gw = start, gram(start)
     beta[0] = np.sqrt(np.vdot(w, Gw).real)
     check = min(2 * k - 1, maxiter)
     for j in range(maxiter):
-        V[j], GVc[j] = w / beta[j], Gw.conj() / beta[j]
-        w = apply(V[j])
-        h = GVc[:j + 1] @ w
-        w -= h @ V[:j + 1]
-        w -= (GVc[:j + 1] @ w) @ V[:j + 1]  # twice is enough
+        if j == len(V):
+            grown = np.empty((2, min(2 * j, maxiter), start.size), dtype=start.dtype)
+            grown[0, :j], grown[1, :j] = V, GVc
+            V, GVc = grown
+        Vj, Gj = V[:j + 1], GVc[:j + 1]
+        np.divide(w, beta[j], out=Vj[j])
+        np.divide(np.conjugate(Gw, out=Gj[j]), beta[j], out=Gj[j])
+        w = apply(Vj[j])
+        h = Gj @ w
+        w -= h @ Vj
+        w -= (Gj @ w) @ Vj  # twice is enough
         Gw = gram(w)
         alpha[j] = h[j].real
         beta[j + 1] = np.sqrt(max(np.vdot(w, Gw).real, 0.0))
-        if not np.isfinite(beta[j + 1]):  # an overflow in w reaches beta
+        if not beta[j + 1] < np.inf:  # an overflow in w reaches beta as inf or nan
             return np.full(k, np.inf), None
         size = j + 1
         # such a beta passes every pair (|S| <= 1, and the top Ritz value is at
@@ -447,12 +521,12 @@ def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: floa
         check = size + size // 8
         # range 2: by index; stemr overwrites its off-diagonal, whose last
         # entry is workspace
-        _, vals, S, info = stemr(alpha[:size], beta[1:size + 1].copy(), 2, 0.0, 0.0,
-                                 size - k + 1, size)
+        _, vals, S, info = scipy.linalg.lapack.dstemr(alpha[:size], beta[1:size + 1].copy(),
+                                                      2, 0.0, 0.0, size - k + 1, size)
         if info:
             raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
         vals, S = vals[:k], S[:, :k]
-        if np.all(beta[size] * np.abs(S[-1]) <= rtol * vals[-1]):
+        if (beta[size] * np.abs(S[-1]) <= rtol * vals[-1]).all():
             return vals, S.T @ V[:size]
     raise np.linalg.LinAlgError(f"Lanczos did not converge in {maxiter} steps")
 
@@ -539,7 +613,9 @@ class DiscreteSystem:
         half = U[:self._half] if k < 3 else U[self._half:]
         base = FIELD_NAMES[k % 3]
         stored = to_nodes(self.parts, half)[self.parts.node_slices[base]]
-        return self.parts.embeddings[base] @ stored
+        values = np.zeros((self.grid.n + 1,) + stored.shape[1:], dtype=stored.dtype)
+        values[self.parts.nodes[base]] = stored
+        return values
 
     @cached_property
     def reduced_block(self) -> tuple[np.ndarray, np.ndarray]:

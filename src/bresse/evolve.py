@@ -151,7 +151,20 @@ class MidpointStepper:
                 f"step matrix at dt={dt:g} is singular or indefinite: {err}") from err
         K, self._nodes = parts.stiffness, parts.mass.size
         diagonal = sigma * (sigma * parts.mass - parts.damping)
-        self.rows = sp.hstack([(-2.0 * sigma) * K, sp.diags(diagonal) - K], format="csr")
+        # row i: [-2 sigma K_i:, (diag(diagonal) - K)_i:], each half by column;
+        # K is symmetric with sorted indices, so its CSC arrays are CSR arrays
+        m, lengths = self._nodes, np.diff(K.indptr)
+        row = np.repeat(np.arange(m), lengths)
+        first = 2 * K.indptr[row] + np.arange(K.nnz) - K.indptr[row]
+        second = first + lengths[row]
+        values = -K.data
+        on_diagonal = K.indices == row
+        values[on_diagonal] = diagonal[row[on_diagonal]] - K.data[on_diagonal]
+        data, indices = np.empty(2 * K.nnz), np.empty(2 * K.nnz, dtype=K.indices.dtype)
+        data[first], indices[first] = (-2.0 * sigma) * K.data, K.indices
+        data[second], indices[second] = values, K.indices + m
+        self.rows = sp.csr_matrix((data, indices, 2 * K.indptr), shape=(m, 2 * m))
+        self.rows.eliminate_zeros()  # as the sparse difference diag - K does
 
     def advance(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write the node state one step after x = [q; p] into out."""

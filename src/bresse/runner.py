@@ -31,25 +31,23 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_energy_csv(series, path: str) -> None:
-    rows = [ENERGY_HEADER]
-    rows += [f"{_fmt(t)},{_fmt(e)},{_fmt(d)}"
-             for t, e, d in zip(series.times, series.energy, series.dissipation)]
+def _write_csv(path: str, header: str, *columns) -> None:
+    """One row per index of the columns, each value as _fmt writes it."""
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
+def write_energy_csv(series, path: str) -> None:
+    _write_csv(path, ENERGY_HEADER, series.times, series.energy, series.dissipation)
 
 
 def write_eigenvalues_csv(eigs: np.ndarray, path: str) -> None:
-    rows = ["re,im"] + [f"{_fmt(v.real)},{_fmt(v.imag)}" for v in eigs]
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_csv(path, "re,im", eigs.real, eigs.imag)
 
 
 def write_resolvent_csv(scan, path: str) -> None:
-    rows = ["lambda,resolvent_norm"]
-    rows += [f"{_fmt(lam)},{_fmt(r)}" for lam, r in zip(scan.lambdas, scan.norms)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_csv(path, "lambda,resolvent_norm", scan.lambdas, scan.norms)
 
 
 def write_json(obj, path: str) -> None:
@@ -135,6 +133,11 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
 def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> dict:
     """Frequency-domain pipeline: spectrum, axis scan, growth exponent."""
     check_dense_cap(2 * half_dimension(cfg.bc, cfg.n))  # the dense spectrum, before assembly
+    undamped = cfg.profile.a0 == 0.0
+    if not undamped:  # an empty window is refused before assembly
+        lg = cfg.lambda_grid
+        grid = spectral.default_axis_grid(spectral.frequency_cap(cfg.params, cfg.n),
+                                          lam_min=lg.min, lam_max=lg.max, count=lg.count)
     if system is None:
         system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
     cid = config_id(cfg)
@@ -143,11 +146,6 @@ def spectrum_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     if dump_operators:
         _dump_operators(system, out)
 
-    undamped = cfg.profile.a0 == 0.0
-    if not undamped:  # an empty window is refused before the dense spectrum
-        lg = cfg.lambda_grid
-        grid = spectral.default_axis_grid(system, lam_min=lg.min, lam_max=lg.max,
-                                          count=lg.count)
     eigs = spectral.eigenvalues(system)
     abscissa = spectral.spectral_abscissa(system)
     regime = classify_regime(cfg.params)

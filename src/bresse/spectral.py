@@ -125,9 +125,8 @@ def spectral_abscissa(system, guard: bool = True) -> float:
 def resonance_floor(system, lam):
     """sigma_min(i lam - A) at or below which i lam counts as an eigenvalue:
     RESONANCE_RTOL (|lam| + w), w = sqrt(max_i sum_j |K_ij| / R_i) bounding
-    the frequencies by Gershgorin."""
-    rows = np.asarray(abs(system.parts.stiffness).sum(axis=1)).ravel() / system.parts.mass
-    return RESONANCE_RTOL * np.abs(lam) + RESONANCE_RTOL * np.sqrt(np.max(rows))
+    the frequencies by Gershgorin (NodeParts.frequency_bound)."""
+    return RESONANCE_RTOL * np.abs(lam) + RESONANCE_RTOL * system.parts.frequency_bound
 
 
 def on_axis(system, eigs: np.ndarray) -> np.ndarray:
@@ -138,12 +137,23 @@ def on_axis(system, eigs: np.ndarray) -> np.ndarray:
 def _axis_resolvent(system):
     """norm(lam), the energy-norm resolvent at i lam.  States x = [q; p] hold
     both halves in node order; the energy product is x_q^H K y_q + x_p^H R y_p.
-    The Lanczos start is fixed and generic: it misses no symmetry class."""
+    The Lanczos start is fixed and generic: it misses no symmetry class.
+    What does not depend on lam is set up once: K x goes through scipy's CSR
+    kernel (K is symmetric with sorted indices, so its CSC arrays serve as
+    CSR arrays and each row sums in the order of K @ x)."""
+    from scipy.sparse._sparsetools import csr_matvec  # loaded by evolve already
+
     parts = system.parts
     K, R, C, m = parts.stiffness, parts.mass, parts.damping, parts.mass.size
+    k_data, minus_C = K.data.astype(complex), -C
     start = system.node_state(np.random.default_rng(0).standard_normal(system.dimension) + 0j)
-    gram = lambda x: np.concatenate([K @ x[:m], R * x[m:]])  # noqa: E731
     floor = resonance_floor(system, 0.0)
+
+    def gram(x):
+        y = np.zeros(2 * m, dtype=complex)
+        csr_matvec(m, m, K.indptr, K.indices, k_data, x[:m], y[:m])
+        np.multiply(R, x[m:], out=y[m:])
+        return y
 
     def norm(lam: float) -> float:
         il = 1j * lam
@@ -151,10 +161,19 @@ def _axis_resolvent(system):
             lu_solve = pencil_solver(parts, il)
         except np.linalg.LinAlgError:
             raise ResonantFrequencyError(lam, 0.0) from None
+        ilR = il * R
+        shifts = (ilR + C, ilR + minus_C)
+        rhs, out = np.empty(m, dtype=complex), np.empty((2, 2 * m), dtype=complex)
 
         def solve(v, adjoint):  # (i lam - A)^-1 v, or (i lam - A~)^-1 v if adjoint
-            q = lu_solve(R * v[m:] + (il * R + (-C if adjoint else C)) * v[:m], adjoint)
-            return np.concatenate([q, il * q - v[:m]])
+            np.multiply(R, v[m:], out=rhs)
+            np.add(rhs, shifts[adjoint] * v[:m], out=rhs)
+            q = lu_solve(rhs, adjoint)
+            x = out[int(adjoint)]  # one array per direction
+            x[:m] = q
+            np.multiply(il, q, out=x[m:])
+            x[m:] -= v[:m]
+            return x
 
         theta = lanczos_top(lambda v: -solve(solve(v, False), True), gram, start, 1,
                             LANCZOS_MAXITER, LANCZOS_RTOL)[0][0]
@@ -195,24 +214,28 @@ def scan_axis(system, lambdas) -> AxisScan:
 
 
 def scan_cap(system) -> float:
-    """Largest trustworthy frequency, half the lowest grid band edge.
+    """Largest trustworthy frequency of an assembled system: frequency_cap."""
+    return frequency_cap(system.params, system.grid.n)
+
+
+def frequency_cap(params, n: int) -> float:
+    """Largest trustworthy frequency on n cells, half the lowest grid band edge.
 
     Each wave family has its own spectral edge 2*c/h; the slowest family's
     edge bounds the window where every branch is resolved.  With unequal
     speeds the slow edge sits below the fast one and carries edge modes whose
     coupling to the damping degenerates (at unequal bending speed an exactly
     conservative pair appears at lam = 2*c_min/h), so the guard must stay
-    under the minimum, not the maximum, family speed.
+    under the minimum, not the maximum, family speed.  It needs no assembly.
     """
-    return 0.5 * system.params.min_wave_speed * np.pi / system.grid.h
+    return 0.5 * params.min_wave_speed * np.pi / (params.L / n)
 
 
-def default_axis_grid(system, lam_min: float = 1.0, lam_max: float | None = None,
+def default_axis_grid(cap: float, lam_min: float = 1.0, lam_max: float | None = None,
                       count: int = 48) -> np.ndarray:
     """Log-spaced backbone of count frequencies from lam_min to lam_max
-    (capped at scan_cap), both ends exact; it needs no spectrum, so an
-    empty window is refused before one is computed."""
-    cap = scan_cap(system)
+    (capped at cap, a scan_cap or frequency_cap), both ends exact; it needs
+    no system, so an empty window is refused before one is assembled."""
     lam_max = cap if lam_max is None else min(float(lam_max), cap)
     if not 0 < lam_min < lam_max:
         raise ValueError(f"need 0 < lam_min < lam_max, got [{lam_min}, {lam_max}]")

@@ -82,8 +82,8 @@ def scan_for(params, profile, bc, n):
     key = (params, profile, bc, n)
     if key not in _SCANS:
         system = system_for(params, profile, bc, n)
-        grid = spectral.insert_peaks(system, spectral.default_axis_grid(system),
-                                     spectral.eigenvalues(system))
+        grid = spectral.default_axis_grid(spectral.scan_cap(system))
+        grid = spectral.insert_peaks(system, grid, spectral.eigenvalues(system))
         _SCANS[key] = spectral.scan_axis(system, grid)
     return _SCANS[key]
 

@@ -17,7 +17,6 @@ failing; the scoreboard line carries the numbers.
 from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from bresse import cli, spectral

@@ -1,6 +1,5 @@
 """Configuration parsing, the command line front end, files, and sweeps."""
 
-import copy
 import json
 import os
 import signal
@@ -295,6 +294,57 @@ def test_cli_spectrum_empty_window_refused_before_the_spectrum(tmp_path, capsys,
     path, _ = write_cfg(tmp_path, lambda_grid={"min": 100.0})
     assert cli.main(["spectrum", path]) == 2
     assert "need 0 < lam_min < lam_max" in capsys.readouterr().err
+
+
+def test_cli_spectrum_empty_window_refused_before_assembly(tmp_path, capsys, monkeypatch):
+    """The window needs only the parameters and n, so a DDD config whose
+    lambda_grid.min lies above the resolved band exits 2 with the window's
+    message before any system is assembled."""
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a system was assembled for an empty window")
+
+    monkeypatch.setattr(runner, "assemble", no_assembly)
+    path, raw = write_cfg(tmp_path, bc="DDD", lambda_grid={"min": 100.0})
+    assert 100.0 > spectral.frequency_cap(parse_config(raw).params, raw["n"])
+    assert cli.main(["spectrum", path]) == 2
+    assert "need 0 < lam_min < lam_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("writer", ["energy", "eigenvalues", "resolvent"])
+def test_csv_writers_match_per_value_formatting(tmp_path, writer):
+    """Each CSV writer formats whole arrays; its bytes equal one
+    repr(float(x)) per NumPy scalar, the formatting it replaced, on -0.0,
+    subnormals, 1e-300, huge values and integers stored as floats."""
+    values = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e-300, 3.0, -7.0,
+                       1e16, 2.0 ** 60, 0.1, 1 / 3, -1.7976931348623157e308])
+    a, b, c = values, values[::-1].copy(), np.roll(values, 5)
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    path = str(tmp_path / "out.csv")
+    if writer == "energy":
+        runner.write_energy_csv(evolve.EnergyTimeSeries(a, b, c), path)
+        rows = [runner.ENERGY_HEADER] + [f"{fmt(t)},{fmt(e)},{fmt(d)}" for t, e, d in zip(a, b, c)]
+    elif writer == "eigenvalues":
+        eigs = a + 1j * b
+        runner.write_eigenvalues_csv(eigs, path)
+        rows = ["re,im"] + [f"{fmt(v.real)},{fmt(v.imag)}" for v in eigs]
+    else:
+        runner.write_resolvent_csv(spectral.AxisScan(a, b), path)
+        rows = ["lambda,resolvent_norm"] + [f"{fmt(lam)},{fmt(r)}" for lam, r in zip(a, b)]
+    assert Path(path).read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_importing_the_cli_loads_no_lazy_module():
+    """scipy.special (the growth fit) and scipy.io (operator dumps) load on
+    first use, not with the command line, whose import is the set-up time of
+    every command."""
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    code = ("import sys, bresse.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.io') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def no_assembly(*args, **kwargs):

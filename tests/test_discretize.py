@@ -19,6 +19,7 @@ from bresse.discretize import (
     dirichlet_embedding,
     endpoint_selectors,
     half_dimension,
+    lanczos_top,
     mirror_basis,
     mirror_symmetric,
     pencil_solver,
@@ -333,6 +334,73 @@ def test_field_values_roundtrip_and_unknown_name():
     np.testing.assert_array_equal(phi[1:-1], U[system.slices["phi"]])
     with pytest.raises(KeyError):
         system.field_values(U, "theta")
+
+
+@pytest.mark.parametrize("bc", [DNN, DDD])
+def test_node_parts_equal_their_sparse_definition(bc):
+    """The parts built from index arrays equal, bit for bit, their
+    definition by sparse products: the strain map S (shear and stretch at
+    each cell's left and right node, then bending) in field-by-field
+    columns, K = (S^T W S + its transpose) / 2 and the energy root, with
+    the columns put in node order."""
+    import scipy.sparse as sp
+
+    params = beam(kappa0=2.0, b=1.7, l=0.6)
+    system = assemble(params, interval(0.1, 0.6), bc, 9)
+    parts, grid, l = system.parts, system.grid, params.l
+    E = dirichlet_embedding(grid.n)
+    F = E if bc is DDD else sp.eye(grid.n + 1, format="csr")
+    D = difference_operator(grid)
+    blocks = []
+    for N in endpoint_selectors(grid):
+        blocks += [[D @ E, N @ F, l * (N @ F)], [-l * (N @ E), None, D @ F]]
+    blocks.append([None, D @ F, None])
+    S = sp.bmat(blocks, format="csr")
+    h, n = grid.h, grid.n
+    w = np.concatenate([np.full(n, 0.5 * params.kappa * h), np.full(n, 0.5 * params.kappa0 * h)] * 2
+                       + [np.full(n, params.b * h)])
+    K = S.T @ sp.diags(w) @ S
+    K = 0.5 * (K + K.T)
+    perm = np.argsort(parts.layout)
+    S, K = S[:, perm], K[perm][:, perm]
+    np.testing.assert_array_equal(parts.cell_weights, w)
+    for got, want in ((parts.strain, S),
+                      (parts.energy_root, sp.bmat([[sp.diags(np.sqrt(w)) @ S, None],
+                                                   [None, sp.diags(np.sqrt(parts.mass))]],
+                                                  format="csr"))):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+    assert parts.stiffness.has_canonical_format and parts.stiffness.nnz == K.nnz
+    assert parts.stiffness.toarray().tobytes() == K.toarray().tobytes()
+    kl = parts.bandwidth
+    rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(K.shape[0]),
+                                                     np.arange(K.shape[0]))) <= kl)
+    np.testing.assert_array_equal(parts.band[kl + rows - cols, cols], K.toarray()[rows, cols])
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_lanczos_top_grows_its_basis(k):
+    """On a diagonal operator of dimension 60, self-adjoint in a diagonal
+    product, whose evenly spaced spectrum takes more than the 16 steps of
+    the first basis to converge, lanczos_top returns the k largest
+    eigenvalues and their product-normalized vectors to 1e-12 of
+    numpy.linalg.eigh."""
+    rng = np.random.default_rng(3)
+    d, g = 1.0 + np.arange(60) / 60.0, rng.uniform(0.5, 2.0, 60)
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return d * x
+
+    vals, X = lanczos_top(apply, lambda x: g * x, rng.standard_normal(60), k, 60, 1e-14)
+    assert len(calls) > 16
+    expected, vectors = np.linalg.eigh(np.diag(d))
+    np.testing.assert_allclose(vals, expected[-k:], rtol=1e-12)
+    want = vectors[:, -k:].T / np.sqrt(g)  # normalized in the g product
+    X = X * np.sign(np.sum(X * want, axis=1))[:, None]
+    np.testing.assert_allclose(X, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("sigma, a0", [pytest.param(0.5 + 40j, 1.0, id="(0.5+40j)"),

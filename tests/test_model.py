@@ -7,7 +7,6 @@ import pytest
 
 from bresse.model import (
     DNN_RTOL,
-    BeamParameters,
     DampingProfile,
     DampingShape,
     DecayLaw,

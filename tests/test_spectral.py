@@ -302,7 +302,7 @@ def test_scan_axis_validation_and_single_point():
 def test_default_grid_capped_and_peak_augmented():
     system = system_for(beam(), interval(), DNN, 10)
     cap = scan_cap(system)
-    grid = default_axis_grid(system, count=16)
+    grid = default_axis_grid(cap, count=16)
     assert grid[0] == 1.0 and grid[-1] == pytest.approx(cap, rel=1e-12)
     assert np.all(np.diff(grid) > 0)
     # a sharply resonant synthetic eigenvalue must be inserted into the grid
@@ -310,7 +310,7 @@ def test_default_grid_capped_and_peak_augmented():
     grid = insert_peaks(system, grid, fake)
     assert np.any(np.isclose(grid, 5.123))
     with pytest.raises(ValueError):
-        default_axis_grid(system, lam_min=cap * 2.0)
+        default_axis_grid(cap, lam_min=cap * 2.0)
 
 
 def test_growth_exponent_exact_on_synthetic_power_law():
