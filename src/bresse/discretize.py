@@ -26,18 +26,18 @@ nodes but are restricted to the mean-zero subspace of the trapezoid inner
 product, which removes the rigid constant mode that otherwise makes the
 energy degenerate.
 
-Two coordinate systems describe one state.  In node coordinates (NodeParts)
-the stored values sit node by node: K = S^T W S, also in band storage, the
-mass R, the damping C and the energy and dissipation roots are sparse and
-banded, and the DNN mean-zero constraints are two border rows.  Stepping,
-resolvent scans and the initial modes factor the pencil
-K + sigma C + sigma^2 R there, with pencil_solver: by banded Cholesky at
-the stepper's real sigma = 2/dt and the modes' undamped shift, by banded
-LU at the scan's sigma = i lam; the scan and the modes share one Lanczos
-loop, lanczos_top.  The reduced coordinates, the public state, expand the
-DNN fields in an orthonormal mean-zero basis built from one Householder
-reflector, so to_nodes and to_reduced convert states in O(n); the dense A
-and M are built only on request, for operator dumps and test oracles.
+One state space describes the system: x = [q; p] in node coordinates
+(NodeParts), the displacements q and velocities p stored node by node.  K =
+S^T W S, also in band storage, the mass R, the damping C and the energy and
+dissipation roots are sparse and banded, and the DNN mean-zero constraints
+are two border rows that both halves satisfy.  Stepping, resolvent scans
+and the initial modes factor the pencil K + sigma C + sigma^2 R there, with
+pencil_solver: by banded Cholesky at the stepper's real sigma = 2/dt and
+the modes' undamped shift, by banded LU at the scan's sigma = i lam; the
+scan and the modes share one Lanczos loop, lanczos_top, which keeps its
+basis on the border rows.  The dense A and M are built only on request,
+for operator dumps and test oracles, in the mass-orthonormal basis of
+mirror_basis.
 
 The coefficients are uniform and both ends alike, so when the damping is
 symmetric about L/2 the reflection x -> L - x commutes with the system and
@@ -54,6 +54,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .model import (
     BeamParameters,
@@ -134,18 +135,6 @@ def _householder(g: np.ndarray) -> np.ndarray:
     return u
 
 
-def _reflector(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vector u of the Householder reflector H = I - 2 u u^T that sends
-    sqrt(mu)/|sqrt(mu)| to the first coordinate axis, and sqrt(mu) itself.
-
-    The mean-zero basis of a DNN field is columns 1..n of H divided row-wise
-    by sqrt(mu): orthonormal in the trapezoid product, and each direction a
-    scaled shift plus one rank-one term, so both coordinate maps cost O(n).
-    """
-    root = np.sqrt(grid.trapezoid_weights())
-    return _householder(root), root
-
-
 @dataclass(frozen=True)
 class NodeParts:
     """Sparse node-level pieces of the energy pencil, assembled once.
@@ -166,7 +155,6 @@ class NodeParts:
     mass: np.ndarray            # rho * mu at the stored nodes
     damping: np.ndarray         # mu * a at the psi nodes, zero elsewhere
     border: np.ndarray          # DNN: columns mu on psi and on omega; DDD: none
-    reflector: tuple | None     # DNN: _reflector(grid) of the mean-zero basis; DDD: none
     energy_root: sp.csr_matrix  # e = [sqrt(W) S q; sqrt(mass) p], E = |e|^2 / 2
     damping_root: sp.csr_matrix  # g = sqrt(damping) p on its support, D = |g|^2
     frequency_bound: float      # sqrt(max_i sum_j |K_ij| / mass_i), Gershgorin's bound
@@ -280,14 +268,12 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
                            params.rho1 * mu[stored[2]]])[perm]
     damping = np.zeros(size)
     damping[layout[offsets[1]:offsets[2]]] = (mu * a_nodes)[stored[1]]
-    if bc is BoundaryCondition.DDD:
-        border, reflector = np.zeros((size, 0)), None
-    else:
-        border = np.zeros((size, 2))
-        for k in (1, 2):
-            border[layout[offsets[k]:offsets[k + 1]], k - 1] = mu
-        reflector = _reflector(grid)
-    bound = np.sqrt(np.max(np.asarray(abs(K).sum(axis=1)).ravel() / mass))
+    border = np.zeros((size, 0 if bc is BoundaryCondition.DDD else 2))
+    for k in range(1, border.shape[1] + 1):
+        border[layout[offsets[k]:offsets[k + 1]], k - 1] = mu
+    row_sums = np.zeros(size)  # of |K|, added in column order as abs(K).sum(axis=1) adds
+    csr_matvec(size, size, K.indptr, K.indices, np.abs(K.data), np.ones(size), row_sums)
+    bound = np.sqrt(np.max(row_sums / mass))
 
     # e = [sqrt(W) S q; sqrt(mass) p] and g = sqrt(damping) p, entries by column
     order = np.lexsort((cols, rows))
@@ -301,42 +287,29 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
         (np.sqrt(damping[support]), (size + support).astype(np.int32),
          np.arange(support.size + 1, dtype=np.int32)), shape=(support.size, 2 * size))
     return NodeParts(dict(zip(FIELD_NAMES[:3], stored)), layout, S, cell_w, K, band, mass,
-                     damping, border, reflector, energy_root, damping_root, bound)
+                     damping, border, energy_root, damping_root, bound)
 
 
 def to_nodes(parts: NodeParts, y: np.ndarray) -> np.ndarray:
-    """Node half-states of reduced half-states y (a vector or columns), in O(n).
+    """Node half-state of a half-state y drawn in the constrained dimension
+    (the seeded mode-sign and scan starts), in O(n).
 
     phi and all DDD fields keep their values; a DNN psi or omega block with
-    mean-zero coefficients c has node values H[:, 1:] c / sqrt(mu).
+    coefficients c has node values H[:, 1:] c / sqrt(mu), H = I - 2 u u^T
+    the Householder reflector that sends sqrt(mu) to the first axis.
     """
-    Y = B = y.reshape(y.shape[0], -1)  # B: field by field
-    X = np.empty((parts.layout.size, Y.shape[1]), dtype=Y.dtype)
-    if parts.reflector is not None:
-        u, root = parts.reflector
-        n = root.size - 1
-        B = np.zeros_like(X)
-        B[:n - 1] = Y[:n - 1]
-        for c, x in ((Y[n - 1:2 * n - 1], B[n - 1:2 * n]), (Y[2 * n - 1:], B[2 * n:])):
-            x[1:] = (1.0 / root[1:])[:, None] * c
-            x += (-2.0 * u / root)[:, None] * (u[1:] @ c)
-    X[parts.layout] = B
-    return X.reshape(X.shape[:1] + y.shape[1:])
-
-
-def to_reduced(parts: NodeParts, x: np.ndarray) -> np.ndarray:
-    """Inverse of to_nodes on node half-states that satisfy the border rows:
-    c = H[1:, :] (sqrt(mu) x) per DNN psi or omega block, in O(n)."""
-    X = x.reshape(x.shape[0], -1)[parts.layout]  # field by field
-    if parts.reflector is not None:
-        u, root = parts.reflector
-        n = root.size - 1
-        Y = np.empty((3 * n - 1, X.shape[1]), dtype=X.dtype)
-        Y[:n - 1] = X[:n - 1]
-        for w, c in ((X[n - 1:2 * n], Y[n - 1:2 * n - 1]), (X[2 * n:], Y[2 * n - 1:])):
-            c[:] = root[1:, None] * w[1:] + (-2.0 * u[1:])[:, None] * ((u * root) @ w)
-        X = Y
-    return X.reshape(X.shape[:1] + x.shape[1:])
+    b = y  # field by field
+    if parts.border.shape[1]:
+        root = np.sqrt(parts.border[parts.node_slices["psi"], 0])  # sqrt(mu)
+        u, n = _householder(root), root.size - 1
+        b = np.zeros(parts.layout.size, dtype=y.dtype)
+        b[:n - 1] = y[:n - 1]
+        for c, x in ((y[n - 1:2 * n - 1], b[n - 1:2 * n]), (y[2 * n - 1:], b[2 * n:])):
+            x[1:] = (1.0 / root[1:]) * c
+            x += (-2.0 * u / root) * (u[1:] @ c)
+    x = np.empty_like(b)
+    x[parts.layout] = b
+    return x
 
 
 def mirror_image(parts: NodeParts) -> tuple[np.ndarray, np.ndarray]:
@@ -474,11 +447,16 @@ def pencil_solver(parts: NodeParts, sigma: complex):
     return solve
 
 
-def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: float):
+def lanczos_top(apply, gram, start: np.ndarray, border: np.ndarray, k: int, maxiter: int,
+                rtol: float):
     """The k largest eigenvalues, increasing, of an operator self-adjoint and
     positive in the product x^H gram(y), and their gram-normalized Ritz
     vectors as rows, by Lanczos from start with full reorthogonalization.
 
+    Each half of a vector (one for a half-state, two for x = [q; p]) keeps
+    to the border rows G^T x = 0: after the second reorthogonalization pass,
+    P = I - G (G^T G)^-1 G^T takes off the rounding apply left on them,
+    which the reorthogonalization would amplify far from the spectrum.
     The basis holds vectors of start's size and dtype: 16 at first, twice
     as many each time it is full, never more than maxiter.
     Convergence is tested with LAPACK stemr on the top k pairs of the
@@ -490,6 +468,10 @@ def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: floa
     convergence in maxiter steps raises LinAlgError."""
     V, GVc = np.empty((2, min(16, maxiter), start.size), dtype=start.dtype)  # GVc: conj(gram(V))
     alpha, beta = np.empty(maxiter), np.empty(maxiter + 1)
+    project = border.shape[1] > 0
+    if project:  # G^T and ((G^T G)^-1 G^T)^T in start's dtype: no cast at each step
+        Gt = border.T.astype(start.dtype)
+        pinv = np.linalg.solve(border.T @ border, border.T).T.astype(start.dtype)
     w, Gw = start, gram(start)
     beta[0] = np.sqrt(np.vdot(w, Gw).real)
     check = min(2 * k - 1, maxiter)
@@ -505,6 +487,9 @@ def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: floa
         h = Gj @ w
         w -= h @ Vj
         w -= (Gj @ w) @ Vj  # twice is enough
+        if project:
+            rows = w.reshape(-1, border.shape[0])  # a view: each half as a row
+            rows -= np.dot(np.dot(rows, pinv), Gt)
         Gw = gram(w)
         alpha[j] = h[j].real
         beta[j + 1] = np.sqrt(max(np.vdot(w, Gw).real, 0.0))
@@ -532,7 +517,8 @@ def lanczos_top(apply, gram, start: np.ndarray, k: int, maxiter: int, rtol: floa
 
 
 def half_dimension(bc: BoundaryCondition, n: int) -> int:
-    """Size of a reduced half-state on n cells, known before assembly."""
+    """Dimension of the constrained half-space on n cells (DiscreteSystem.dimension
+    / 2), known before assembly."""
     return 3 * n - (3 if bc is BoundaryCondition.DDD else 1)
 
 
@@ -556,115 +542,75 @@ def _gram(T: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def energy_block(parts: NodeParts, X: np.ndarray, psi: slice) -> tuple[np.ndarray, np.ndarray]:
     """Dense stiffness K = X^T S^T W S X of a basis X of node half-states
-    (columns) and the damping Gram C on its psi columns."""
+    (columns) and the damping Gram C on its columns psi (the psi field's,
+    or slice(None) for all: zero off the psi field's)."""
     nodes = parts.node_slices["psi"]
     return (_gram(parts.strain @ X, parts.cell_weights),
             _gram(X[nodes, psi], parts.damping[nodes]))
 
 
 class DiscreteSystem:
-    """Assembled first-order system U' = A U with energy E = U^T M U / 2.
+    """Assembled first-order system x' = A x with energy E(x).
 
-    State ordering is (phi, psi, omega, u, v, z) with u, v, z the velocities,
-    in reduced coordinates.  The sparse node-level parts carry the physics;
-    energy and dissipation are evaluated from them in O(n).  The dense A and
-    M, and the reduced-coordinate Grams they read (reduced_block), are built
-    from them only on request (operator dumps and test oracles), below the
-    dense cap.  M is symmetric positive definite; the damping enters A only
-    on the shear-velocity block.
+    The state is x = [q; p] in node coordinates (NodeParts), q the
+    displacements phi, psi, omega and p their velocities u, v, z; on DNN
+    both halves satisfy the border rows, and dimension counts that
+    constrained space.  Energy and dissipation come from the sparse parts
+    in O(n).  The dense A and M are built only on request (operator dumps
+    and test oracles), below the dense cap, in the basis X =
+    mirror_basis(parts, None): x = [X y_q; X y_p] has E = y^T M y / 2, with
+    M = diag(K_X, I), A = [[0, I], [-K_X, -C_X]] from energy_block.
     """
 
-    def __init__(self, params, profile, bc, grid, parts: NodeParts, slices,
-                 velocity_mass):
+    def __init__(self, params, profile, bc, grid, parts: NodeParts):
         self.params, self.profile, self.bc, self.grid = params, profile, bc, grid
-        self.parts, self.slices, self.velocity_mass = parts, slices, velocity_mass
+        self.parts = parts
         self.spectrum = None  # spectral's eigenvalues, computed on first use
         self.spectrum_blocks = None  # and the half size of each Schur block they came from
-        self._half = slices["omega"].stop
 
     @property
     def dimension(self) -> int:
-        return 2 * self._half
+        return 2 * (self.parts.mass.size - self.parts.border.shape[1])
 
-    def node_state(self, U: np.ndarray) -> np.ndarray:
-        """x = [q; p] in node coordinates of reduced states U (vector or columns)."""
-        h = self._half
-        return np.concatenate([to_nodes(self.parts, U[:h]), to_nodes(self.parts, U[h:])])
-
-    def reduced_state(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of node_state on states that satisfy the border rows."""
-        m = self.parts.mass.size
-        return np.concatenate([to_reduced(self.parts, x[:m]), to_reduced(self.parts, x[m:])])
-
-    def energy(self, U: np.ndarray) -> float:
-        e = self.parts.energy_root @ self.node_state(U)
+    def energy(self, x: np.ndarray) -> float:
+        e = self.parts.energy_root @ x
         return 0.5 * float(e @ e)
 
-    def dissipation_rate(self, U: np.ndarray) -> float:
+    def dissipation_rate(self, x: np.ndarray) -> float:
         """-dE/dt along the flow: quadrature of a(x) times shear velocity squared."""
-        g = self.parts.damping_root @ self.node_state(U)
+        g = self.parts.damping_root @ x
         return float(g @ g)
 
-    def field_values(self, U: np.ndarray, name: str) -> np.ndarray:
-        """Node values of one field, boundary values included."""
+    def field_values(self, x: np.ndarray, name: str) -> np.ndarray:
+        """Node values of one field of a state (vector or columns), boundary
+        values included."""
         if name not in FIELD_NAMES:
             raise KeyError(f"unknown field {name!r}")
-        k = FIELD_NAMES.index(name)
-        half = U[:self._half] if k < 3 else U[self._half:]
+        k, m = FIELD_NAMES.index(name), self.parts.mass.size
         base = FIELD_NAMES[k % 3]
-        stored = to_nodes(self.parts, half)[self.parts.node_slices[base]]
+        stored = x[m * (k // 3) + self.parts.node_slices[base]]
         values = np.zeros((self.grid.n + 1,) + stored.shape[1:], dtype=stored.dtype)
         values[self.parts.nodes[base]] = stored
         return values
 
     @cached_property
-    def reduced_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """energy_block of the reduced coordinates: the dense stiffness block
-        of M and the damping Gram on the shear-velocity block of A, which
-        alone read it."""
-        check_dense_cap(self._half)
-        X = to_nodes(self.parts, np.eye(self._half))
-        return energy_block(self.parts, X, self.slices["psi"])
+    def _energy_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """K_X and C_X, over all columns, of X = mirror_basis(parts, None)."""
+        check_dense_cap(self.dimension)
+        return energy_block(self.parts, mirror_basis(self.parts, None)[0], slice(None))
 
     @cached_property
     def M(self) -> np.ndarray:
-        """Dense energy Gram of the reduced coordinates, built on first use."""
-        check_dense_cap(self.dimension)
-        h = self._half
-        M = np.zeros((2 * h, 2 * h))
-        M[:h, :h] = self.reduced_block[0]
-        M[np.arange(h, 2 * h), np.arange(h, 2 * h)] = self.velocity_mass
-        return M
+        """Dense energy Gram diag(K_X, I), built on first use."""
+        K = self._energy_grams[0]
+        return scipy.linalg.block_diag(K, np.eye(K.shape[0]))
 
     @cached_property
     def A(self) -> np.ndarray:
-        """Dense generator of the reduced coordinates, built on first use."""
-        check_dense_cap(self.dimension)
-        h = self._half
-        A = np.zeros((2 * h, 2 * h))
-        A[:h, h:] = np.eye(h)
-        K, C = self.reduced_block
-        A[h:, :h] = -K / self.velocity_mass[:, None]
-        sl_v = self.slices["v"]
-        A[sl_v, sl_v] -= C / self.velocity_mass[self.slices["psi"], None]
-        return A
-
-
-def _build(params, profile, bc, grid) -> DiscreteSystem:
-    a_nodes = damping_values(profile, grid.nodes(), params.L)
-    parts = _node_parts(params, bc, grid, a_nodes)
-    m = grid.n if bc is BoundaryCondition.DNN else grid.n - 1
-    sizes = [grid.n - 1, m, m] * 2
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    slices = {f: slice(int(offsets[i]), int(offsets[i + 1]))
-              for i, f in enumerate(FIELD_NAMES)}
-    w_node = grid.trapezoid_weights()[1:-1]
-    # the mean-zero basis is orthonormal in the mu product, so the reduced
-    # velocity Gram of a DNN field is the identity by construction
-    w_free = w_node if bc is BoundaryCondition.DDD else np.ones(grid.n)
-    velocity_mass = np.concatenate([params.rho1 * w_node, params.rho2 * w_free,
-                                    params.rho1 * w_free])
-    return DiscreteSystem(params, profile, bc, grid, parts, slices, velocity_mass)
+        """Dense generator [[0, I], [-K_X, -C_X]], built on first use."""
+        K, C = self._energy_grams
+        h = K.shape[0]
+        return np.block([[np.zeros((h, h)), np.eye(h)], [-K, -C]])
 
 
 def assemble(params: BeamParameters, profile: DampingProfile,
@@ -681,4 +627,6 @@ def assemble(params: BeamParameters, profile: DampingProfile,
             raise AdmissibilityError(
                 f"length L={params.L} is within {adm.tol:g} of {adm.nearest_n}*pi/l; "
                 "the zero-slope problem is degenerate there, perturb L or l")
-    return _build(params, profile, bc, Grid(n=n, length=params.L))
+    grid = Grid(n=n, length=params.L)
+    parts = _node_parts(params, bc, grid, damping_values(profile, grid.nodes(), params.L))
+    return DiscreteSystem(params, profile, bc, grid, parts)

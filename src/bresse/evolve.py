@@ -1,23 +1,23 @@
 """Time evolution by the implicit midpoint (Cayley) rule.
 
-One step is U+ = (I - dt/2 A)^{-1} (I + dt/2 A) U.  Because the scheme is the
+One step is x+ = (I - dt/2 A)^{-1} (I + dt/2 A) x.  Because the scheme is the
 Cayley transform of the generator, every quadratic invariant of the flow is
 respected exactly: the discrete energy satisfies
 
-    E(U+) - E(U) = -dt * D((U + U+)/2)
+    E(x+) - E(x) = -dt * D((x + x+)/2)
 
 to rounding, where D is the damping quadrature, so undamped runs conserve
 energy and damped runs dissipate it monotonically at machine precision.
 
-Initial data are a seed: ``make_initial`` draws a smooth state from the
-lowest undamped modes (``undamped_modes``).  ``simulate`` takes any real
-reduced state, converts it once to node coordinates and runs the whole
-loop there: each step is one sparse product for the right-hand
-side, one banded Cholesky solve with the energy pencil at sigma = 2/dt and
-the update of x = [q; p], written into the next row of a block of BLOCK
-states.  Once per block, one product of the block with each of the energy
-and damping roots gives the energy and dissipation of all its states, and
-the guards check every step from those.
+States are node states x = [q; p] (DiscreteSystem), on DNN on the border
+rows.  Initial data are a seed: ``make_initial`` draws a smooth state from
+the lowest undamped modes (``undamped_modes``).  ``simulate`` takes any
+real state on the border rows and runs the whole loop on it: each step is
+one sparse product for the right-hand side, one banded Cholesky solve with
+the energy pencil at sigma = 2/dt and the update of x = [q; p], written
+into the next row of a block of BLOCK states.  Once per block, one product
+of the block with each of the energy and damping roots gives the energy and
+dissipation of all its states, and the guards check every step from those.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from .discretize import (DiscreteSystem, check_dense_cap, half_dimension, lanczos_top,
-                         pencil_solver, to_nodes, to_reduced)
+                         pencil_solver, to_nodes)
 from .model import BoundaryCondition
 
 
@@ -50,6 +50,7 @@ class SingularStepError(RuntimeError):
 SMOOTH_FRACTION = 0.1
 MODE_RTOL = 1e-13  # mode Lanczos residual over the largest Ritz value
 BLOCK = 64  # states stepped between two energy checks
+BORDER_RTOL = 1e-10  # |G^T x| of an initial state over sum(|G|) max|x|
 
 
 def smooth_mode_count(h: int) -> int:
@@ -78,17 +79,17 @@ def undamped_modes(system: DiscreteSystem, k: int):
     by increasing frequency: K phi = w^2 R phi on the border rows, with K and
     R the node stiffness and mass.
 
-    Lanczos in reduced coordinates (which keep the border rows exactly) on
-    phi -> (K + sR)^-1 R phi in the R product, s = (c_min / L)^2, the pencil
-    factored once by pencil_solver without damping at sigma = sqrt(s); at
-    most min(h, 4k + 20) steps (h = d / 2), every pair converged to a
-    residual of MODE_RTOL, else LinAlgError; a basis too large for the dense
-    cap is refused before anything is factored.  Each shape is signed so
-    that its R product with the seeded start g =
-    default_rng(0).standard_normal(h) is positive: the data depend on the
-    mesh alone, not on the solver's signs.  Mode k spans the states
-    (phi_k, 0) and (0, w_k phi_k); the shapes (columns) are scaled so each
-    of those carries energy 1/2.
+    Lanczos on phi -> (K + sR)^-1 R phi in the R product, on the border
+    rows, s = (c_min / L)^2, the pencil factored once by pencil_solver
+    without damping at sigma = sqrt(s); at most min(h, 4k + 20) steps
+    (h = d / 2), every pair converged to a residual of MODE_RTOL, else
+    LinAlgError; a basis too large for the dense cap is refused before
+    anything is factored.  The start, and each shape's sign, come from the
+    seeded draw g = to_nodes(default_rng(0).standard_normal(h)): each shape
+    has a positive R product with g, so the data depend on the mesh alone,
+    not on the solver's signs.  Mode k spans the states (phi_k, 0) and
+    (0, w_k phi_k); the shapes (node half-states as columns) are scaled so
+    each of those carries energy 1/2.
     """
     h = system.dimension // 2
     if not 1 <= k <= h:
@@ -97,29 +98,29 @@ def undamped_modes(system: DiscreteSystem, k: int):
     parts = system.parts
     s = (system.params.min_wave_speed / system.params.L) ** 2
     solve = pencil_solver(dataclasses.replace(parts, damping=0.0), math.sqrt(s))
-    R, V = parts.mass, system.velocity_mass
-    g = np.random.default_rng(0).standard_normal(h)
-    theta, X = lanczos_top(lambda y: to_reduced(parts, solve(R * to_nodes(parts, y))),
-                           lambda y: V * y, g, k, steps, MODE_RTOL)
+    R = parts.mass
+    g = to_nodes(parts, np.random.default_rng(0).standard_normal(h))
+    theta, X = lanczos_top(lambda y: solve(R * y), lambda y: R * y, g, parts.border, k, steps,
+                           MODE_RTOL)
     if X is None:
         raise np.linalg.LinAlgError("mode Lanczos overflowed")
     X = X[::-1]
-    X *= np.sign(X @ (V * g))[:, None]
+    X *= np.sign(X @ (R * g))[:, None]
     freqs = np.sqrt(1.0 / theta[::-1] - s)
     return freqs, X.T / freqs
 
 
 def make_initial(system: DiscreteSystem, seed: int) -> np.ndarray:
-    """Seeded smooth initial state, energy-normalized: a standard normal
-    combination, drawn by default_rng(seed), of the displacement and
+    """Seeded smooth initial node state, energy-normalized: a standard
+    normal combination, drawn by default_rng(seed), of the displacement and
     velocity parts of the lowest smooth_mode_count(d / 2) undamped modes;
     the low cutoff keeps the data resolved."""
     h = system.dimension // 2
     k = smooth_mode_count(h)
     freqs, shapes = undamped_modes(system, k)
     coeff = np.random.default_rng(seed).standard_normal((k, 2))
-    U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
-    return U / math.sqrt(system.energy(U))
+    x = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
+    return x / math.sqrt(system.energy(x))
 
 
 class MidpointStepper:
@@ -135,7 +136,7 @@ class MidpointStepper:
     factored by ``pencil_solver`` as a banded Cholesky.  For dt > 0 and a
     dissipative C, Q is positive definite; an indefinite Q raises
     SingularStepError.  ``rows`` maps x = [q; p] to the right-hand side.
-    ``step`` maps reduced vectors or columns, also complex.
+    ``step`` maps node states, vectors or columns, also complex.
     """
 
     def __init__(self, system: DiscreteSystem, dt: float):
@@ -182,11 +183,10 @@ class MidpointStepper:
         q += x[:m]
         out[m:] = p
 
-    def step(self, U: np.ndarray) -> np.ndarray:
-        x = self.system.node_state(U)
+    def step(self, x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         self.advance(x, out)
-        return self.system.reduced_state(out)
+        return out
 
 
 @dataclass
@@ -197,19 +197,21 @@ class EnergyTimeSeries:
     max_balance_residual: float | None = field(default=None, compare=False)
 
 
-def simulate(system: DiscreteSystem, U0: np.ndarray, T: float, dt: float,
+def simulate(system: DiscreteSystem, x0: np.ndarray, T: float, dt: float,
              sample_stride: int = 1) -> EnergyTimeSeries:
-    """Run from the reduced state U0 to final time T in steps of dt,
+    """Run from the node state x0 to final time T in steps of dt,
     sampling energy and dissipation every ``sample_stride`` steps (the final
-    state is always sampled).  U0 must be real, of the state's shape, and
-    carry energy; it is not normalized.
+    state is always sampled).  x0 must be real, of the node state's shape,
+    on the border rows and carry energy; it is not normalized.  A half q or
+    p of x0 is on the border rows when |G^T q| is at most BORDER_RTOL
+    sum(|G|) max|x0| for each border column G.
 
     The states are stepped into a block of BLOCK rows; once the block is
     full (or the run ends), one product of the block with each root gives
     the energy and dissipation of all its states.  Every step is checked:
     a rise above 1e-12 * E(0) aborts, as does a non-finite energy, naming
     the first step at fault.  The largest per-step defect of
-    E+ - E = -dt D(U_mid), which the scheme satisfies exactly, is reported
+    E+ - E = -dt D(x_mid), which the scheme satisfies exactly, is reported
     relative to E(0).
     """
     if not 0 < T < math.inf:
@@ -220,16 +222,22 @@ def simulate(system: DiscreteSystem, U0: np.ndarray, T: float, dt: float,
         raise ValueError("dt must be positive")
     if not T / dt < math.inf:
         raise ValueError("step count T / dt is not finite")
-    if U0.dtype.kind not in "iuf" or U0.shape != (system.dimension,):
+    parts = system.parts
+    m, G = parts.mass.size, parts.border
+    if x0.dtype.kind not in "iuf" or x0.shape != (2 * m,):
         raise ValueError(f"initial state must be a real array of shape "
-                         f"({system.dimension},), got {U0.dtype} {U0.shape}")
-    if not system.energy(U0) > 0.0:
+                         f"({2 * m},), got {x0.dtype} {x0.shape}")
+    scale = np.abs(G).sum(axis=0) * np.abs(x0).max()
+    off = np.abs(x0.reshape(2, m) @ G)
+    if (off > BORDER_RTOL * scale).any():
+        raise ValueError(f"initial state is off the border rows: |G^T x| reads "
+                         f"{(off / scale).max():.1e} of sum|G| max|x|, above {BORDER_RTOL:g}")
+    if not system.energy(x0) > 0.0:
         raise ValueError("initial state carries no energy")
     n_steps = max(1, math.ceil(T / dt - 1e-12))
     stepper = MidpointStepper(system, dt)
-    parts = system.parts
-    block = np.empty((BLOCK + 1, 2 * parts.mass.size))  # row 0: the state before the block
-    block[0] = system.node_state(U0)
+    block = np.empty((BLOCK + 1, 2 * m))  # row 0: the state before the block
+    block[0] = x0
     states = list(block)
     E, D, g = _block_energies(parts, block[:1])
     E0 = E[0]
@@ -253,7 +261,7 @@ def simulate(system: DiscreteSystem, U0: np.ndarray, T: float, dt: float,
                         f"non-finite energy at step {done + j + 1} (dt={dt})")
                 raise EnergyMonotonicityError(
                     f"energy rose by {rise[j]:.3e} at step {done + j + 1} (dt={dt})")
-            g_sum = g[:, 1:] + g[:, :-1]  # g is linear in the state: g + g+ = 2 g(U_mid)
+            g_sum = g[:, 1:] + g[:, :-1]  # g is linear in the state: g + g+ = 2 g(x_mid)
             balance = rise + 0.25 * dt * np.einsum("ij,ij->j", g_sum, g_sum)
             max_residual = max(max_residual, float(np.abs(balance).max()))
             k = np.arange(done + 1, done + count + 1)

@@ -90,9 +90,9 @@ def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> d
     if dump_operators:
         _dump_operators(system, out)
 
-    U0 = make_initial(system, cfg.seed)
+    x0 = make_initial(system, cfg.seed)
     stride = max(1, math.ceil((cfg.T / cfg.dt) / MAX_ENERGY_ROWS))
-    series = simulate(system, U0, T=cfg.T, dt=cfg.dt, sample_stride=stride)
+    series = simulate(system, x0, T=cfg.T, dt=cfg.dt, sample_stride=stride)
 
     regime = classify_regime(cfg.params)
     law = predicted_decay(regime)

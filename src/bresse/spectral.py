@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .discretize import (check_dense_cap, energy_block, lanczos_top, mirror_basis,
-                         mirror_symmetric, pencil_solver)
+                         mirror_symmetric, pencil_solver, to_nodes)
 from .parallel import fork_map
 
 RESONANCE_RTOL = 1e-14
@@ -137,7 +137,8 @@ def on_axis(system, eigs: np.ndarray) -> np.ndarray:
 def _axis_resolvent(system):
     """norm(lam), the energy-norm resolvent at i lam.  States x = [q; p] hold
     both halves in node order; the energy product is x_q^H K y_q + x_p^H R y_p.
-    The Lanczos start is fixed and generic: it misses no symmetry class.
+    The Lanczos start, to_nodes of a seeded draw in the constrained
+    dimension, is fixed and generic: it misses no symmetry class.
     What does not depend on lam is set up once: K x goes through scipy's CSR
     kernel (K is symmetric with sorted indices, so its CSC arrays serve as
     CSR arrays and each row sums in the order of K @ x)."""
@@ -146,7 +147,9 @@ def _axis_resolvent(system):
     parts = system.parts
     K, R, C, m = parts.stiffness, parts.mass, parts.damping, parts.mass.size
     k_data, minus_C = K.data.astype(complex), -C
-    start = system.node_state(np.random.default_rng(0).standard_normal(system.dimension) + 0j)
+    h = system.dimension // 2
+    g = np.random.default_rng(0).standard_normal(2 * h) + 0j
+    start = np.concatenate([to_nodes(parts, g[:h]), to_nodes(parts, g[h:])])
     floor = resonance_floor(system, 0.0)
 
     def gram(x):
@@ -175,8 +178,8 @@ def _axis_resolvent(system):
             x[m:] -= v[:m]
             return x
 
-        theta = lanczos_top(lambda v: -solve(solve(v, False), True), gram, start, 1,
-                            LANCZOS_MAXITER, LANCZOS_RTOL)[0][0]
+        theta = lanczos_top(lambda v: -solve(solve(v, False), True), gram, start, parts.border,
+                            1, LANCZOS_MAXITER, LANCZOS_RTOL)[0][0]
         sigma = 1.0 / np.sqrt(theta)  # 0 for an overflowing, resonant solve
         if not sigma > RESONANCE_RTOL * abs(lam) + floor:  # resonance_floor(system, lam)
             raise ResonantFrequencyError(lam, sigma)

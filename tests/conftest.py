@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from bresse.discretize import assemble
+from bresse.discretize import assemble, mirror_basis
 from bresse.evolve import simulate, undamped_modes
 from bresse.model import BeamParameters, BoundaryCondition, DampingProfile
 from bresse import spectral
@@ -53,8 +53,29 @@ def mode_state(system, index):
     """The displacement state of undamped mode index (1-based, by
     frequency), energy-normalized."""
     shapes = undamped_modes(system, index)[1]
-    U = np.concatenate([shapes[:, -1], np.zeros(shapes.shape[0])])
-    return U / np.sqrt(system.energy(U))
+    x = np.concatenate([shapes[:, -1], np.zeros(shapes.shape[0])])
+    return x / np.sqrt(system.energy(x))
+
+
+def border_free(system, rng, *columns):
+    """Standard normal node states x = [q; p] (a vector, or that many
+    columns) with the border component of each half taken off, so that
+    they satisfy the DNN border rows."""
+    G = system.parts.border
+    x = rng.standard_normal((2, G.shape[0]) + columns)
+    if G.shape[1]:
+        for half in x:
+            half -= G @ np.linalg.solve(G.T @ G, G.T @ half)
+    return x.reshape((-1,) + columns)
+
+
+def node_vectors(system, y):
+    """Node states [X y_q; X y_p] of states y (vectors or columns, such as
+    eigenvectors of A) in the basis X = mirror_basis(parts, None) of the
+    dense A and M."""
+    X = mirror_basis(system.parts, None)[0]
+    h = X.shape[1]
+    return np.concatenate([X @ y[:h], X @ y[h:]])
 
 
 def endpoint_balance_defect(system, U0, dt, n_steps):
@@ -92,14 +113,15 @@ def least_damped_mode(system):
     """(eigenvalue, eigenvector) of the slowest-decaying resolved pair.
 
     Restricted to the trusted band and to the positive-frequency branch;
-    the eigenvector is normalized so its real part carries unit energy.
+    the eigenvector, a node state, is normalized so its real part carries
+    unit energy.
     """
     import scipy.linalg
 
     vals, vecs = scipy.linalg.eig(system.A)
     band = (vals.imag > 0) & (vals.imag <= spectral.scan_cap(system))
     idx = np.flatnonzero(band)[np.argmax(vals.real[band])]
-    lam, vec = vals[idx], vecs[:, idx]
+    lam, vec = vals[idx], node_vectors(system, vecs[:, idx])
     scale = np.sqrt(system.energy(vec.real))
     return lam, vec / scale
 

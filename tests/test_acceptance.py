@@ -39,6 +39,7 @@ from conftest import (
     endpoint_balance_defect,
     interval,
     least_damped_mode,
+    node_vectors,
     record,
     scan_for,
     system_for,
@@ -248,6 +249,8 @@ def test_criterion_7_oracle_equivalence():
     for bc in (DNN, DDD):
         system = system_for(beam(), interval(a0=0.0), bc, 30)
         vals, vecs = scipy.linalg.eig(system.A)
+        vecs = node_vectors(system, vecs)
+        vecs /= np.linalg.norm(vecs, axis=0)  # unit node vectors, as eig's are
         stepper = MidpointStepper(system, dt)
         stepped = stepper.step(vecs)
         factors = (1.0 + 0.5 * dt * vals) / (1.0 - 0.5 * dt * vals)

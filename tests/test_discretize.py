@@ -23,23 +23,22 @@ from bresse.discretize import (
     mirror_basis,
     mirror_symmetric,
     pencil_solver,
-    to_nodes,
-    to_reduced,
 )
 from bresse.evolve import undamped_modes
 from bresse.model import damping_values
 from bresse import spectral
 
-from conftest import DDD, DNN, beam, interval, system_for
+from conftest import DDD, DNN, beam, border_free, interval, node_vectors, system_for
 
 
 def mean_zero_basis(grid):
     """The program's orthonormal mean-zero basis on a grid: node values of the
-    reduced psi coordinates of a DNN assembly.  Columns B satisfy
-    B^T diag(mu) B = I and mu^T B = 0 when the construction is right."""
+    psi columns of mirror_basis(parts, None) of a DNN assembly with
+    rho2 = 1.  Columns B satisfy B^T diag(mu) B = I and mu^T B = 0 when the
+    construction is right."""
     system = assemble(beam(L=grid.length), interval(), DNN, grid.n)
-    nodes = to_nodes(system.parts, np.eye(system.dimension // 2))
-    return nodes[system.parts.node_slices["psi"], system.slices["psi"]]
+    X, cols = mirror_basis(system.parts, None)
+    return X[system.parts.node_slices["psi"], cols["psi"]]
 
 
 def assemble_energy_gram(params, bc, grid):
@@ -53,7 +52,7 @@ def mean_zero_projector(grid):
     return B @ (B.T * grid.trapezoid_weights()[None, :])
 
 
-def quadrature_energy(system, U):
+def quadrature_energy(system, x):
     """Loop-based evaluation of the energy integral from nodal field values.
 
     Strain terms use the cell difference quotient with the zeroth-order
@@ -63,7 +62,7 @@ def quadrature_energy(system, U):
     p = system.params
     g = system.grid
     h = g.h
-    f = {name: system.field_values(U, name) for name in
+    f = {name: system.field_values(x, name) for name in
          ("phi", "psi", "omega", "u", "v", "z")}
     total = 0.0
     for i in range(g.n):
@@ -160,7 +159,7 @@ def test_mirror_sectors_split_the_constrained_space(bc, n):
     values each field of a sector column is reflected about L/2 with its
     sign: phi even, psi and omega odd in the + sector, the opposite in the -
     sector.  The spectrum of an asymmetric system, one whole-space block,
-    builds no reduced-coordinate Grams."""
+    builds no dense A or M."""
     system = system_for(beam(), interval(), bc, n)
     parts = system.parts
     assert mirror_symmetric(parts)
@@ -176,16 +175,14 @@ def test_mirror_sectors_split_the_constrained_space(bc, n):
                 assert not np.delete(basis[:, cols[f]], rows, axis=0).any()
             if sign is None:
                 continue
-            U = to_reduced(parts, basis)
             for f, parity in (("phi", 1.0), ("psi", -1.0), ("omega", -1.0)):
-                v = np.column_stack([system.field_values(np.concatenate([u, 0 * u]), f)
-                                     for u in U.T])
+                v = system.field_values(np.concatenate([basis, 0 * basis]), f)
                 np.testing.assert_allclose(v[::-1], sign * parity * v, atol=1e-12)
     asymmetric = assemble(beam(), interval(0.1, 0.6), bc, n)
     assert not mirror_symmetric(asymmetric.parts)
     spectral.eigenvalues(asymmetric)
     assert asymmetric.spectrum_blocks == [asymmetric.dimension // 2]
-    assert "reduced_block" not in asymmetric.__dict__
+    assert not {"A", "M"} & vars(asymmetric).keys()
 
 
 def test_clamped_dimension_count():
@@ -201,21 +198,22 @@ def test_energy_matches_loop_quadrature():
         system = system_for(beam(rho2=1.3, kappa0=0.7, b=2.1, l=0.8),
                             interval(a0=2.0), bc, 12)
         for _ in range(100):
-            U = rng.standard_normal(system.dimension) * 3.0
-            direct = quadrature_energy(system, U)
-            assert system.energy(U) == pytest.approx(direct, rel=1e-13)
+            x = border_free(system, rng) * 3.0
+            direct = quadrature_energy(system, x)
+            assert system.energy(x) == pytest.approx(direct, rel=1e-13)
 
 
 def test_velocity_energy_of_constant_field():
     p = beam(rho1=2.0)
     for n in (8, 64):
         system = system_for(p, interval(), DDD, n)
-        U = np.zeros(system.dimension)
-        U[system.slices["u"]] = 1.0
+        m = system.parts.mass.size
+        x = np.zeros(2 * m)
+        x[m + system.parts.node_slices["phi"]] = 1.0  # u, the velocity of phi
         # interior trapezoid weights integrate the constant over (h, L-h)
-        assert system.energy(U) == pytest.approx(
+        assert system.energy(x) == pytest.approx(
             0.5 * 2.0 * (p.L - system.grid.h), rel=1e-14)
-    assert abs(system.energy(U) - 0.5 * 2.0 * p.L) < 0.05
+    assert abs(system.energy(x) - 0.5 * 2.0 * p.L) < 0.05
 
 
 def test_dissipation_identity_against_quadrature():
@@ -225,12 +223,13 @@ def test_dissipation_identity_against_quadrature():
         a = damping_values(system.profile, system.grid.nodes(), system.params.L)
         mu = system.grid.trapezoid_weights()
         for _ in range(20):
-            U = rng.standard_normal(system.dimension)
-            lhs = float(U @ (system.M @ (system.A @ U)))
-            v = system.field_values(U, "v")
+            y = rng.standard_normal(system.dimension)
+            lhs = float(y @ (system.M @ (system.A @ y)))
+            x = node_vectors(system, y)
+            v = system.field_values(x, "v")
             rhs = -float(np.sum(mu * a * v ** 2))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert system.dissipation_rate(U) == pytest.approx(-rhs, rel=1e-12)
+            assert system.dissipation_rate(x) == pytest.approx(-rhs, rel=1e-12)
 
 
 def test_generator_skew_without_damping():
@@ -245,9 +244,12 @@ def test_symmetrization_is_exactly_minus_damping_block():
         system = system_for(beam(rho1=0.6), interval(a0=5.0), bc, 11)
         MA = system.M @ system.A
         S = MA + MA.T
+        X, cols = mirror_basis(system.parts, None)
+        shear = X[:, cols["psi"]]  # the shear-velocity columns, in the velocity half
+        h = system.dimension // 2
+        v = slice(h + cols["psi"].start, h + cols["psi"].stop)
         expected = np.zeros_like(S)
-        sl = system.slices["v"]
-        expected[sl, sl] = -2.0 * system.reduced_block[1]
+        expected[v, v] = -2.0 * shear.T @ (system.parts.damping[:, None] * shear)
         assert np.abs(S - expected).max() <= 1e-12 * np.abs(MA).max()
 
 
@@ -328,12 +330,12 @@ def test_support_validated_against_length():
 
 def test_field_values_roundtrip_and_unknown_name():
     system = system_for(beam(), interval(), DDD, 8)
-    U = np.arange(float(system.dimension))
-    phi = system.field_values(U, "phi")
+    x = np.arange(2.0 * system.parts.mass.size)
+    phi = system.field_values(x, "phi")
     assert phi[0] == 0.0 and phi[-1] == 0.0
-    np.testing.assert_array_equal(phi[1:-1], U[system.slices["phi"]])
+    np.testing.assert_array_equal(phi[1:-1], x[system.parts.node_slices["phi"]])
     with pytest.raises(KeyError):
-        system.field_values(U, "theta")
+        system.field_values(x, "theta")
 
 
 @pytest.mark.parametrize("bc", [DNN, DDD])
@@ -394,7 +396,8 @@ def test_lanczos_top_grows_its_basis(k):
         calls.append(1)
         return d * x
 
-    vals, X = lanczos_top(apply, lambda x: g * x, rng.standard_normal(60), k, 60, 1e-14)
+    vals, X = lanczos_top(apply, lambda x: g * x, rng.standard_normal(60), np.zeros((60, 0)), k,
+                          60, 1e-14)
     assert len(calls) > 16
     expected, vectors = np.linalg.eigh(np.diag(d))
     np.testing.assert_allclose(vals, expected[-k:], rtol=1e-12)

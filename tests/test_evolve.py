@@ -23,10 +23,10 @@ from bresse.evolve import (
 )
 from bresse import discretize
 from bresse.config import auto_dt
-from bresse.discretize import assemble
+from bresse.discretize import assemble, mirror_basis, to_nodes
 
-from conftest import (DDD, DNN, beam, endpoint_balance_defect, interval, mode_state,
-                      system_for, zeroed_step_parts)
+from conftest import (DDD, DNN, beam, border_free, endpoint_balance_defect, interval,
+                      mode_state, node_vectors, system_for, zeroed_step_parts)
 
 
 def _anti_damped(a0):
@@ -38,11 +38,12 @@ def _anti_damped(a0):
     return system
 
 
-def _dense_cayley(system, dt, U):
-    """Reference step from the dense generator: LU of I - dt/2 A."""
+def _dense_cayley(system, dt, y):
+    """Reference step from the dense generator: LU of I - dt/2 A, on states
+    y in the basis of A."""
     eye = np.eye(system.dimension)
     lu = scipy.linalg.lu_factor(eye - 0.5 * dt * system.A)
-    rhs = (eye + 0.5 * dt * system.A) @ U
+    rhs = (eye + 0.5 * dt * system.A) @ y
     if np.iscomplexobj(rhs):
         return scipy.linalg.lu_solve(lu, rhs.real) + 1j * scipy.linalg.lu_solve(lu, rhs.imag)
     return scipy.linalg.lu_solve(lu, rhs)
@@ -92,7 +93,7 @@ def test_step_is_cayley_transform_on_each_mode():
         vals, vecs = scipy.linalg.eig(system.A)
         stepper = MidpointStepper(system, dt)
         for k in range(vals.size):
-            v = vecs[:, k]
+            v = node_vectors(system, vecs[:, k])
             expected = (1.0 + 0.5 * dt * vals[k]) / (1.0 - 0.5 * dt * vals[k]) * v
             assert np.abs(stepper.step(v) - expected).max() <= 1e-12
 
@@ -100,9 +101,9 @@ def test_step_is_cayley_transform_on_each_mode():
 def test_step_zero_state_and_linearity():
     system = system_for(beam(), interval(), DDD, 8)
     stepper = MidpointStepper(system, 0.05)
-    assert np.all(stepper.step(np.zeros(system.dimension)) == 0.0)
+    assert np.all(stepper.step(np.zeros(2 * system.parts.mass.size)) == 0.0)
     rng = np.random.default_rng(1)
-    U, V = rng.standard_normal((2, system.dimension))
+    U, V = border_free(system, rng, 2).T
     lhs = stepper.step(2.0 * U + V)
     rhs = 2.0 * stepper.step(U) + stepper.step(V)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -115,7 +116,9 @@ def test_step_matches_dense_cayley_oracle(bc, dense_cap, monkeypatch):
     complex states, given as single vectors and as matrices of columns, and
     the energy and dissipation equal the dense quadratic forms; with the
     dense cap at 0, so that building A or M would raise, and above every
-    dimension here.  The oracle is built under the real cap."""
+    dimension here.  The states are drawn in the basis of A and mapped to
+    node states; the oracle is built under the real cap.  In that basis the
+    dissipation is -p^T A_pp p, A_pp = -C_X the velocity block of A."""
     dt = 0.013
     rng = np.random.default_rng(11)
     for n, a0 in ((6, 0.0), (12, 2.0)):
@@ -128,33 +131,39 @@ def test_step_matches_dense_cayley_oracle(bc, dense_cap, monkeypatch):
             for shape in ((d,), (d, 4)):
                 real = rng.standard_normal(shape)
                 states += [real, real + 1j * rng.standard_normal(shape)]
-            stepped = [stepper.step(U) for U in states]
-            U = rng.standard_normal(d)
-            energy, dissipation = system.energy(U), system.dissipation_rate(U)
-        for got, V in zip(stepped, states):
-            assert got.shape == V.shape and got.dtype == V.dtype
-            assert np.abs(got - _dense_cayley(system, dt, V)).max() <= 1e-12
-        v = U[system.slices["v"]]
-        assert energy == pytest.approx(0.5 * U @ system.M @ U, rel=1e-12)
+            stepped = [stepper.step(node_vectors(system, y)) for y in states]
+            y = rng.standard_normal(d)
+            x = node_vectors(system, y)
+            energy, dissipation = system.energy(x), system.dissipation_rate(x)
+        for got, z in zip(stepped, states):
+            assert got.shape == (2 * system.parts.mass.size,) + z.shape[1:]
+            assert got.dtype == z.dtype
+            assert np.abs(got - node_vectors(system, _dense_cayley(system, dt, z))).max() <= 1e-12
+        h = d // 2
+        assert energy == pytest.approx(0.5 * y @ system.M @ y, rel=1e-12)
         assert dissipation == pytest.approx(
-            v @ system.reduced_block[1] @ v, rel=1e-12, abs=1e-14)
+            -y[h:] @ system.A[h:, h:] @ y[h:], rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("bc", [DNN, DDD])
 def test_simulate_matches_dense_cayley_trajectory(bc):
     """The energy and dissipation series of the node-coordinate loop equal
     those of a trajectory stepped with the dense Cayley map and evaluated as
-    U^T M U / 2 and v^T C v in the reduced coordinates."""
+    y^T M y / 2 and -p^T A_pp p in the basis of A, y = [X^T R q; X^T R p]
+    the coordinates of the initial node state in X = mirror_basis(parts,
+    None)."""
     system = assemble(beam(rho1=0.8, kappa0=1.3, l=0.7), interval(a0=2.0), bc, 12)
     dt, steps = 0.02, 200
-    U = make_initial(system, 6)
-    series = simulate(system, U, T=steps * dt, dt=dt)
+    x = make_initial(system, 6)
+    series = simulate(system, x, T=steps * dt, dt=dt)
+    X, m = mirror_basis(system.parts, None)[0], system.parts.mass.size
+    y = np.concatenate([X.T @ (system.parts.mass * x[:m]), X.T @ (system.parts.mass * x[m:])])
+    h = y.size // 2
     energy, dissipation = [], []
     for _ in range(steps + 1):
-        v = U[system.slices["v"]]
-        energy.append(0.5 * U @ system.M @ U)
-        dissipation.append(v @ system.reduced_block[1] @ v)
-        U = _dense_cayley(system, dt, U)
+        energy.append(0.5 * y @ system.M @ y)
+        dissipation.append(-y[h:] @ system.A[h:, h:] @ y[h:])
+        y = _dense_cayley(system, dt, y)
     E0 = series.energy[0]
     assert series.times.size == steps + 1
     assert np.abs(series.energy - energy).max() <= 1e-12 * E0
@@ -238,7 +247,7 @@ def test_blowup_guard_triggers():
     system = _anti_damped(30.0)  # the step pencil stays definite at dt = 0.01
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalBlowupError, match="non-finite"):
-            simulate(system, np.full(system.dimension, 1e200), T=1.0, dt=0.01)
+            simulate(system, np.full(2 * system.parts.mass.size, 1e200), T=1.0, dt=0.01)
 
 
 @pytest.mark.parametrize("sample_stride", [1, 7])
@@ -304,6 +313,18 @@ def test_simulate_argument_validation():
         simulate(system, U, T=1.0, dt=1e-320)
     with pytest.raises(ValueError):
         simulate(system, U, T=1.0, dt=0.1, sample_stride=0)
+    # a DNN state whose psi velocity leaves the mean-zero border row by 1e-8
+    # of its scale is refused; one at 1e-12, rounding, runs
+    dnn = system_for(beam(), interval(), DNN, 8)
+    x, m, v = make_initial(dnn, 1), dnn.parts.mass.size, dnn.parts.node_slices["psi"]
+    for offset, refused in ((1e-8, True), (1e-12, False)):
+        off = x.copy()
+        off[m + v] += offset * np.abs(x).max()
+        if refused:
+            with pytest.raises(ValueError, match="off the border rows"):
+                simulate(dnn, off, T=0.1, dt=0.01)
+        else:
+            simulate(dnn, off, T=0.1, dt=0.01)
 
 
 def test_sampling_stride_and_final_sample():
@@ -323,15 +344,16 @@ def test_default_dt_rule():
 
 
 def dense_modes(system, k):
-    """The k lowest undamped modes from the dense oracle
-    eigh(reduced_block[0], diag(velocity_mass)), signed by undamped_modes'
-    rule (a positive mass product with default_rng(0).standard_normal(h))
-    and scaled as its shapes are."""
-    V = system.velocity_mass
-    w2, shapes = scipy.linalg.eigh(system.reduced_block[0], np.diag(V))
-    freqs, shapes = np.sqrt(w2[:k]), shapes[:, :k]
-    g = np.random.default_rng(0).standard_normal(V.size)
-    shapes *= np.sign((V * g) @ shapes)
+    """The k lowest undamped modes from the dense oracle eigh(K_X), K_X the
+    stiffness block of M in its mass-orthonormal basis X, as node shapes
+    X v, signed by undamped_modes' rule (a positive mass product with
+    to_nodes(default_rng(0).standard_normal(h))) and scaled as its shapes
+    are."""
+    h = system.dimension // 2
+    w2, vecs = scipy.linalg.eigh(system.M[:h, :h])
+    freqs, shapes = np.sqrt(w2[:k]), mirror_basis(system.parts, None)[0] @ vecs[:, :k]
+    g = to_nodes(system.parts, np.random.default_rng(0).standard_normal(h))
+    shapes *= np.sign((system.parts.mass * g) @ shapes)
     return freqs, shapes / freqs
 
 
@@ -361,10 +383,10 @@ def test_random_smooth_matches_dense_modes(bc):
     k = smooth_mode_count(h)
     freqs, shapes = dense_modes(system, k)
     coeff = np.random.default_rng(4).standard_normal((k, 2))
-    U = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
-    U /= np.sqrt(system.energy(U))
-    np.testing.assert_allclose(make_initial(system, 4), U,
-                               rtol=0, atol=1e-10 * np.abs(U).max())
+    x = np.concatenate([shapes @ coeff[:, 0], shapes @ (freqs * coeff[:, 1])])
+    x /= np.sqrt(system.energy(x))
+    np.testing.assert_allclose(make_initial(system, 4), x,
+                               rtol=0, atol=1e-10 * np.abs(x).max())
 
 
 def test_modal_initial_data(monkeypatch):
@@ -413,7 +435,7 @@ def test_custom_initial_data_used_as_is():
     """simulate starts from the state it is given, not normalized; an
     integer array runs as its float copy."""
     system = system_for(beam(), interval(), DDD, 8)
-    vec = np.arange(1, system.dimension + 1)
+    vec = np.arange(1, 2 * system.parts.mass.size + 1)
     series = simulate(system, vec, T=0.1, dt=0.01)
     assert series.energy[0] == pytest.approx(system.energy(vec.astype(float)), rel=1e-14)
     same = simulate(system, vec.astype(float), T=0.1, dt=0.01)
@@ -426,7 +448,7 @@ def test_initial_array_must_be_real_of_the_state_shape(bc):
     when it is complex (its imaginary part would be dropped) or of another
     length, and one that carries no energy."""
     system = system_for(beam(), interval(), bc, 8)
-    d = system.dimension
+    d = 2 * system.parts.mass.size
     U = make_initial(system, 1)
     shape = re.escape(f"real array of shape ({d},)")
     for bad in (U + 1j * U, U[:-1], np.append(U, 0.0), U[:, None]):
