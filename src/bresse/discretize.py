@@ -35,9 +35,9 @@ and the initial modes factor the pencil K + sigma C + sigma^2 R there, with
 pencil_solver: by banded Cholesky at the stepper's real sigma = 2/dt and
 the modes' undamped shift, by banded LU at the scan's sigma = i lam; the
 scan and the modes share one Lanczos loop, lanczos_top, which keeps its
-basis on the border rows.  The dense A and M are built only on request,
-for operator dumps and test oracles, in the mass-orthonormal basis of
-mirror_basis.
+basis on the border rows.  The generator A and energy Gram M are built
+only on request, sparse for operator dumps and dense for test oracles, in
+the mass-orthonormal basis of mirror_basis.
 
 The coefficients are uniform and both ends alike, so when the damping is
 symmetric about L/2 the reflection x -> L - x commutes with the system and
@@ -556,10 +556,10 @@ class DiscreteSystem:
     displacements phi, psi, omega and p their velocities u, v, z; on DNN
     both halves satisfy the border rows, and dimension counts that
     constrained space.  Energy and dissipation come from the sparse parts
-    in O(n).  The dense A and M are built only on request (operator dumps
-    and test oracles), below the dense cap, in the basis X =
-    mirror_basis(parts, None): x = [X y_q; X y_p] has E = y^T M y / 2, with
-    M = diag(K_X, I), A = [[0, I], [-K_X, -C_X]] from energy_block.
+    in O(n).  A and M are built on request, below the dense cap, in the
+    basis X = mirror_basis(parts, None): x = [X y_q; X y_p] has E = y^T M y
+    / 2.  operators() builds them sparse (operator dumps), and the A and M
+    attributes are their dense arrays (test oracles).
     """
 
     def __init__(self, params, profile, bc, grid, parts: NodeParts):
@@ -593,24 +593,28 @@ class DiscreteSystem:
         values[self.parts.nodes[base]] = stored
         return values
 
-    @cached_property
-    def _energy_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """K_X and C_X, over all columns, of X = mirror_basis(parts, None)."""
+    def operators(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The generator A = [[0, I], [-K_X, -C_X]] and the energy Gram M =
+        diag(K_X, I) as CSR, from energy_block on X = mirror_basis(parts,
+        None), refused above the dense cap: K_X is dense."""
         check_dense_cap(self.dimension)
-        return energy_block(self.parts, mirror_basis(self.parts, None)[0], slice(None))
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """Dense energy Gram diag(K_X, I), built on first use."""
-        K = self._energy_grams[0]
-        return scipy.linalg.block_diag(K, np.eye(K.shape[0]))
+        K, C = energy_block(self.parts, mirror_basis(self.parts, None)[0], slice(None))
+        K, C = sp.csr_matrix(K), sp.csr_matrix(C)
+        eye = sp.eye(K.shape[0], format="csr")
+        return (sp.bmat([[None, eye], [-K, -C]], format="csr"),
+                sp.block_diag([K, eye], format="csr"))
 
     @cached_property
     def A(self) -> np.ndarray:
-        """Dense generator [[0, I], [-K_X, -C_X]], built on first use."""
-        K, C = self._energy_grams
-        h = K.shape[0]
-        return np.block([[np.zeros((h, h)), np.eye(h)], [-K, -C]])
+        """Dense generator, operators()'s first as an array; caches M too."""
+        A, self.M = (op.toarray() for op in self.operators())
+        return A
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """Dense energy Gram, operators()'s second, cached by A."""
+        self.A
+        return vars(self)["M"]
 
 
 def assemble(params: BeamParameters, profile: DampingProfile,

@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import parallel, spectral
 from .config import RunConfig, SweepSpec, config_id, expand_sweep, to_dict
@@ -72,13 +71,14 @@ def _fit_dict(fit):
 def _dump_operators(system, out_dir: str) -> None:
     import scipy.io  # here, so that runs without the dump do not load it
 
-    scipy.io.mmwrite(os.path.join(out_dir, "A.mtx"), scipy.sparse.coo_matrix(system.A))
-    scipy.io.mmwrite(os.path.join(out_dir, "M.mtx"), scipy.sparse.coo_matrix(system.M))
+    A, M = system.operators()
+    scipy.io.mmwrite(os.path.join(out_dir, "A.mtx"), A.tocoo())
+    scipy.io.mmwrite(os.path.join(out_dir, "M.mtx"), M.tocoo())
 
 
 def simulate_run(cfg: RunConfig, system=None, dump_operators: bool = False) -> dict:
     """Time-domain pipeline: evolve seeded smooth data, fit the tail, report."""
-    # refused before assembly: a dump is dense at full size, the initial modes' basis is tall
+    # refused before assembly: a dump's files hold about (d/2)^2 entries, the modes' basis is tall
     if dump_operators:
         check_dense_cap(2 * half_dimension(cfg.bc, cfg.n))
     check_smooth_size(cfg.bc, cfg.n)
@@ -266,15 +266,14 @@ def sweep_run(spec: SweepSpec) -> SweepResult:
     CPU this process may use (at most one per point), each taking the next
     point when it is done with one; this process only waits, so its memory
     does not grow with the points (taking points here too raised the
-    benchmark sweep's peak RSS from 63.2-63.4 to 72.6-73.1 MB).  A point's
-    spectrum runs in the process of its point.  With one CPU the points run in this process.  Rows are
-    sorted by config id, so the atlas does not depend on which process ran
-    a point; failed points keep their row with the error message instead of
-    aborting the sweep.  A child that dies raises WorkerDiedError, and no
-    atlas is written.
+    benchmark sweep's peak RSS from 63.2-63.4 to 72.6-73.1 MB).  A point
+    imports nothing that importing the package has not, so no child loads
+    a module of its own, and its spectrum runs in its process.  With one
+    CPU the points run in this process.  Rows are sorted by config id, so
+    the atlas does not depend on which process ran a point; failed points
+    keep their row with the error message instead of aborting the sweep.  A
+    child that dies raises WorkerDiedError, and no atlas is written.
     """
-    import scipy.special  # noqa: F401 -- the points' only lazy import, loaded once before the fork
-
     configs = sorted(expand_sweep(spec), key=lambda cfg: -cfg.n)
     os.makedirs(spec.outputs, exist_ok=True)
     processes = parallel.processes(len(configs))

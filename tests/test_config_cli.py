@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse
 
 from bresse import cli, discretize, evolve, parallel, runner, spectral
 from bresse.config import (
@@ -334,9 +335,9 @@ def test_csv_writers_match_per_value_formatting(tmp_path, writer):
 
 
 def test_importing_the_cli_loads_no_lazy_module():
-    """scipy.special (the growth fit) and scipy.io (operator dumps) load on
-    first use, not with the command line, whose import is the set-up time of
-    every command."""
+    """scipy.io (operator dumps) loads on first use, not with the command
+    line, whose import is the set-up time of every command; the package
+    uses scipy.special nowhere (test_runs_never_load_scipy_special)."""
     import subprocess
 
     src = os.path.dirname(os.path.dirname(runner.__file__))
@@ -345,6 +346,29 @@ def test_importing_the_cli_loads_no_lazy_module():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_never_load_scipy_special(tmp_path):
+    """A damped spectrum, whose growth fit needs a t quantile, and a sweep
+    run without loading scipy.special."""
+    import subprocess
+
+    spectrum, _ = write_cfg(tmp_path, n=8)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"base": base_raw(n=8, T=0.5),
+                                 "grid": {"params.kappa0": [1.0, 2.0]},
+                                 "outputs": str(tmp_path / "atlas")}))
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    code = ("import sys\n"
+            "from bresse import cli\n"
+            f"assert cli.main(['spectrum', {spectrum!r}]) == 0\n"
+            f"assert cli.main(['sweep', {str(sweep)!r}]) == 0\n"
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "False"
+    summary = json.loads(Path(tmp_path, "run", "summary.json").read_text())
+    assert summary["alpha_ci"] is not None
 
 
 def no_assembly(*args, **kwargs):
@@ -456,11 +480,39 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys, command):
     assert not os.path.exists(str(tmp_path / "run"))
 
 
-def test_dump_operators_roundtrip(tmp_path):
-    path, raw = write_cfg(tmp_path, n=8)
-    assert cli.main(["spectrum", path, "--dump-operators"]) == 0
+def dense_operators(system):
+    """A and M as dense arrays, as the dumps were first written from: the
+    byte reference of the sparse dump."""
+    K, C = discretize.energy_block(
+        system.parts, discretize.mirror_basis(system.parts, None)[0], slice(None))
+    h = K.shape[0]
+    return (np.block([[np.zeros((h, h)), np.eye(h)], [-K, -C]]),
+            scipy.linalg.block_diag(K, np.eye(h)))
+
+
+def refuse_dense(self):
+    raise AssertionError("a dump built the dense A or M")
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("support", [(0.25, 0.75), (0.0, 0.75)], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("bc", ["DNN", "DDD"])
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_dump_operators_roundtrip(tmp_path, monkeypatch, command, bc, support, n):
+    """The dumps never build the dense A or M, and each file holds the bytes
+    that mmwrite gives the COO form of the dense construction."""
+    path, raw = write_cfg(tmp_path, n=n, bc=bc, T=0.5,
+                          profile={"alpha": support[0], "beta": support[1]})
+    with monkeypatch.context() as patch:
+        patch.setattr(discretize.DiscreteSystem, "A", property(refuse_dense))
+        patch.setattr(discretize.DiscreteSystem, "M", property(refuse_dense))
+        assert cli.main([command, path, "--dump-operators"]) == 0
     cfg = parse_config(raw)
     system = assemble(cfg.params, cfg.profile, cfg.bc, cfg.n)
+    for name, dense in zip(("A.mtx", "M.mtx"), dense_operators(system)):
+        reference = tmp_path / ("reference_" + name)
+        scipy.io.mmwrite(str(reference), scipy.sparse.coo_matrix(dense))
+        assert Path(raw["outputs"], name).read_bytes() == reference.read_bytes()
     A = scipy.io.mmread(os.path.join(raw["outputs"], "A.mtx")).toarray()
     M = scipy.io.mmread(os.path.join(raw["outputs"], "M.mtx")).toarray()
     np.testing.assert_allclose(A, system.A, rtol=1e-13, atol=1e-300)

@@ -77,6 +77,9 @@ def test_errors_survive_pickling(error):
 
 
 def test_import_loads_no_heavy_module():
+    """Importing the command line loads neither multiprocessing (fork_map
+    forks by hand) nor scipy.io (loaded by an operator dump) nor
+    scipy.special (which the package uses nowhere)."""
     src = os.path.dirname(os.path.dirname(parallel.__file__))
     code = ("import sys, bresse.cli; "
             "print(' '.join(m for m in ('multiprocessing', 'scipy.special', 'scipy.io') "

@@ -27,6 +27,7 @@ from bresse.spectral import (
     scan_axis,
     scan_cap,
     spectral_abscissa,
+    t_quantile,
 )
 
 from conftest import DDD, DNN, beam, interval, scan_for, system_for
@@ -329,6 +330,16 @@ def test_growth_exponent_needs_enough_samples():
     lam = np.geomspace(50.0, 100.0, 30)
     with pytest.raises(ValueError, match="at least 8"):
         fit_growth_exponent(lam, lam ** 2, window=(99.0, 100.0))
+
+
+def test_t_quantile_matches_scipy():
+    """The growth interval's closed-form Student t quantile against scipy's
+    stdtrit at every integer degree of freedom up to 1000."""
+    import scipy.special
+
+    nu = np.arange(1, 1001)
+    ours = np.array([t_quantile(int(k), 0.975) for k in nu])
+    np.testing.assert_allclose(ours, scipy.special.stdtrit(nu, 0.975), rtol=1e-13, atol=0)
 
 
 def test_growth_ratio_synthetic():
