@@ -54,7 +54,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .model import (
     BeamParameters,
@@ -197,11 +196,9 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
     the energy and the generator both derive from these, so the two stay
     exactly compatible.
 
-    Every sparse part is built once from (row, column, value) arrays.  K is
-    summed as S^T W S is by scipy's sparse product: entry (i, j) adds
-    S_kj (W_k S_ki) over the strain samples k in increasing order, and K is
-    then (K + K^T) / 2 without its exact zeros, so its bits do not depend
-    on how it was built."""
+    S and the roots are built once from (row, column, value) arrays; K is
+    S^T W S by scipy's sparse product, made exactly symmetric as
+    (K + K^T) / 2 without its exact zeros."""
     n, h, l = grid.n, grid.h, params.l
     mu = grid.trapezoid_weights()
     # clamped fields keep the interior nodes, zero-slope (DNN) ones all nodes
@@ -232,34 +229,14 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
     samples = 5 * n
     cell_w = np.concatenate([np.full(n, 0.5 * params.kappa * h),
                              np.full(n, 0.5 * params.kappa0 * h)] * 2 + [np.full(n, params.b * h)])
-    indptr = _indptr(rows, samples)
-    S = sp.csr_matrix((vals, cols.astype(np.int32), indptr), shape=(samples, size))
+    S = sp.csr_matrix((vals, cols.astype(np.int32), _indptr(rows, samples)),
+                      shape=(samples, size))
 
-    # K = S^T W S: the products of each sample's terms, pair by pair, summed
-    # per entry in sample order
-    slot = np.arange(rows.size) - indptr[rows]
-    width = int(slot.max(initial=0)) + 1
-    pc, pv = np.full((samples, width), -1), np.zeros((samples, width))
-    pc[rows, slot], pv[rows, slot] = cols, vals
-    pair = (pc[:, :, None] >= 0) & (pc[:, None, :] >= 0)
-    terms = (pv[:, None, :] * (cell_w[:, None] * pv)[:, :, None])[pair]
-    keys = (pc[:, :, None] * size + pc[:, None, :])[pair]
-    order = np.argsort(keys, kind="stable")  # stable: sample order within an entry
-    keys, terms = keys[order], terms[order]
-    starts = np.diff(keys, prepend=-1) != 0
-    first, group = np.flatnonzero(starts), np.cumsum(starts) - 1
-    padded = np.zeros((first.size, int(np.diff(np.append(first, keys.size)).max())))
-    padded[group, np.arange(keys.size) - first[group]] = terms
-    half = padded[:, 0].copy()  # added left to right as the product does; np.sum would pair terms
-    for c in range(1, padded.shape[1]):
-        half += padded[:, c]
-    keys = keys[first]
-    total = half + half[np.searchsorted(keys, keys % size * size + keys // size)]
-    keep = total != 0
-    ki, kj = np.divmod(keys[keep], size)
-    # symmetric, so these canonical CSC arrays are also K's canonical CSR arrays
-    K = sp.csc_matrix((0.5 * total[keep], kj.astype(np.int32), _indptr(ki, size)),
-                      shape=(size, size))
+    K = S.T @ sp.diags(cell_w) @ S
+    K = (0.5 * (K + K.T)).tocsc()
+    K.eliminate_zeros()
+    K.sort_indices()  # symmetric, so these canonical CSC arrays are also its CSR arrays
+    ki, kj = K.indices, np.repeat(np.arange(size), np.diff(K.indptr))
     kl = int(np.abs(ki - kj).max(initial=0))
     band = np.zeros((2 * kl + 1, size))
     band[kl + ki - kj, kj] = K.data
@@ -271,9 +248,7 @@ def _node_parts(params: BeamParameters, bc: BoundaryCondition, grid: Grid,
     border = np.zeros((size, 0 if bc is BoundaryCondition.DDD else 2))
     for k in range(1, border.shape[1] + 1):
         border[layout[offsets[k]:offsets[k + 1]], k - 1] = mu
-    row_sums = np.zeros(size)  # of |K|, added in column order as abs(K).sum(axis=1) adds
-    csr_matvec(size, size, K.indptr, K.indices, np.abs(K.data), np.ones(size), row_sums)
-    bound = np.sqrt(np.max(row_sums / mass))
+    bound = np.sqrt(np.max(np.asarray(abs(K).sum(axis=1)).ravel() / mass))
 
     # e = [sqrt(W) S q; sqrt(mass) p] and g = sqrt(damping) p, entries by column
     order = np.lexsort((cols, rows))

@@ -25,7 +25,7 @@ from bresse.discretize import (
     pencil_solver,
 )
 from bresse.evolve import undamped_modes
-from bresse.model import damping_values
+from bresse.model import DampingShape, damping_values
 from bresse import spectral
 
 from conftest import DDD, DNN, beam, border_free, interval, node_vectors, system_for
@@ -338,17 +338,28 @@ def test_field_values_roundtrip_and_unknown_name():
         system.field_values(x, "theta")
 
 
-@pytest.mark.parametrize("bc", [DNN, DDD])
-def test_node_parts_equal_their_sparse_definition(bc):
+SMOOTHED = interval(0.1, 0.6, a0=2.0, shape=DampingShape.SMOOTHED_PLATEAU, ramp=0.15)
+
+
+@pytest.mark.parametrize("bc, n, overrides, profile", [
+    case for bc in (DNN, DDD) for case in (
+        pytest.param(bc, 9, {}, interval(0.1, 0.6), id=f"{bc}"),
+        *(pytest.param(bc, n, {}, interval(0.1, 0.6), id=f"{bc}-n{n}") for n in (4, 16, 33)),
+        pytest.param(bc, 16, {}, SMOOTHED, id=f"{bc}-smoothed"),
+        pytest.param(bc, 9, {"rho2": 1.3}, interval(0.1, 0.6), id=f"{bc}-rho2"),
+        # 13 * (1.7 / 13) rounds past 1.7: the last-node overshoot mesh
+        pytest.param(bc, 13, {"L": 1.7}, interval(), id=f"{bc}-L1.7-n13"))])
+def test_node_parts_equal_their_sparse_definition(bc, n, overrides, profile):
     """The parts built from index arrays equal, bit for bit, their
     definition by sparse products: the strain map S (shear and stretch at
     each cell's left and right node, then bending) in field-by-field
     columns, K = (S^T W S + its transpose) / 2 and the energy root, with
-    the columns put in node order."""
+    the columns put in node order; the frequency bound is Gershgorin's on
+    that K to rounding."""
     import scipy.sparse as sp
 
-    params = beam(kappa0=2.0, b=1.7, l=0.6)
-    system = assemble(params, interval(0.1, 0.6), bc, 9)
+    params = beam(kappa0=2.0, b=1.7, l=0.6, **overrides)
+    system = assemble(params, profile, bc, n)
     parts, grid, l = system.parts, system.grid, params.l
     E = dirichlet_embedding(grid.n)
     F = E if bc is DDD else sp.eye(grid.n + 1, format="csr")
@@ -379,6 +390,9 @@ def test_node_parts_equal_their_sparse_definition(bc):
     rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(K.shape[0]),
                                                      np.arange(K.shape[0]))) <= kl)
     np.testing.assert_array_equal(parts.band[kl + rows - cols, cols], K.toarray()[rows, cols])
+    np.testing.assert_allclose(parts.frequency_bound,
+                               np.sqrt(np.max(np.abs(K.toarray()).sum(axis=1) / parts.mass)),
+                               rtol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 5])
